@@ -20,43 +20,40 @@ int main() {
     const KernelInfo* k = findKernel(name);
     std::printf("%-10s", name);
     for (unsigned kk : ks) {
-      DswpConfig cfg;
-      cfg.numPartitions = kk;
-      PreparedKernel pk = prepareKernel(*k, cfg);
-      SimConfig sc;
-      std::printf(" %9llu", static_cast<unsigned long long>(runTwillCycles(pk, sc)));
+      DriverOptions opts = twillOnly();
+      opts.dswp.numPartitions = kk;
+      const uint64_t cycles = twillCycles(runBenchmark(name, k->source, opts));
+      std::printf(" %9llu", static_cast<unsigned long long>(cycles));
     }
-    DswpConfig cfg;  // auto
-    PreparedKernel pk = prepareKernel(*k, cfg);
-    SimConfig sc;
-    std::printf(" %9llu\n", static_cast<unsigned long long>(runTwillCycles(pk, sc)));
+    const uint64_t autoCycles = twillCycles(runBenchmark(name, k->source, twillOnly()));
+    std::printf(" %9llu\n", static_cast<unsigned long long>(autoCycles));
   }
 
   // --- Scheduler quantum sweep ----------------------------------------------
   std::printf("\n-- Scheduler quantum (Twill cycles, sha) --\n");
+  const KernelInfo* sha = findKernel("sha");
   {
-    const KernelInfo* k = findKernel("sha");
-    PreparedKernel pk = prepareKernel(*k);
+    DriverOptions opts = twillOnly();
+    opts.keepTwillArtifacts = true;
+    const BenchmarkReport anchor = runBenchmark(sha->name, sha->source, opts);
     for (unsigned q : {100u, 500u, 2000u, 10000u}) {
-      SimConfig sc;
-      sc.schedQuantum = q;
+      opts.sim.schedQuantum = q;
       std::printf("  quantum %6u: %llu cycles\n", q,
-                  static_cast<unsigned long long>(runTwillCycles(pk, sc)));
+                  static_cast<unsigned long long>(twillCycles(resimulateTwill(anchor, opts))));
     }
   }
 
   // --- Processor count (§4.5 supports several Microblazes) -------------------
   std::printf("\n-- Processor count (Twill cycles, sha at sw-split 60%%) --\n");
   {
-    const KernelInfo* k = findKernel("sha");
-    DswpConfig cfg;
-    cfg.swFraction = 0.6;  // force several SW threads so processors matter
-    PreparedKernel pk = prepareKernel(*k, cfg);
+    DriverOptions opts = twillOnly();
+    opts.dswp.swFraction = 0.6;  // force several SW threads so processors matter
+    opts.keepTwillArtifacts = true;
+    const BenchmarkReport anchor = runBenchmark(sha->name, sha->source, opts);
     for (unsigned procs : {1u, 2u, 4u}) {
-      SimConfig sc;
-      sc.numProcessors = procs;
+      opts.sim.numProcessors = procs;
       std::printf("  %u processor%s: %llu cycles\n", procs, procs == 1 ? " " : "s",
-                  static_cast<unsigned long long>(runTwillCycles(pk, sc)));
+                  static_cast<unsigned long long>(twillCycles(resimulateTwill(anchor, opts))));
     }
   }
 
@@ -67,14 +64,12 @@ int main() {
     // actually toggles master/slave function pipelining.
     const KernelInfo* k = findKernel("mpeg2");
     for (unsigned thr : {0u, 40u, 2000u}) {
-      DswpConfig cfg;
-      PreparedKernel pk = prepareKernel(*k, cfg, thr);
-      if (!pk.ok) continue;
-      SimConfig sc;
-      uint64_t cycles = runTwillCycles(pk, sc);
-      std::printf("  inline<=%-5u: %8llu cycles, %3u queues, %zu threads%s\n", thr,
-                  static_cast<unsigned long long>(cycles), pk.dswp.totalQueues(),
-                  pk.dswp.threads.size(),
+      DriverOptions opts = twillOnly();
+      opts.inlineThreshold = thr;
+      const BenchmarkReport r = runBenchmark(k->name, k->source, opts);
+      std::printf("  inline<=%-5u: %8llu cycles, %3u queues, %u threads%s\n", thr,
+                  static_cast<unsigned long long>(twillCycles(r)), r.queues,
+                  r.hwThreads + r.swThreads,
                   thr == 0 ? "  (master/slave function pipelining active)" : "");
     }
   }

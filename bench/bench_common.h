@@ -8,15 +8,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/chstone/kernels.h"
 #include "src/driver/driver.h"
-#include "src/frontend/lower.h"
-#include "src/ir/interp.h"
-#include "src/ir/verifier.h"
 
 namespace twill {
 namespace bench {
@@ -108,60 +104,23 @@ inline std::vector<KernelInfo> selectKernels(const BenchCli& cli, size_t quickCo
   return out;
 }
 
-/// Pre-compiled benchmark: the optimized baseline module plus the extracted
-/// Twill module, so parameter sweeps can re-simulate without re-compiling.
-struct PreparedKernel {
-  std::string name;
-  std::unique_ptr<Module> base;     // for pure SW / pure HW
-  std::unique_ptr<Module> twillMod; // extracted
-  DswpResult dswp;
-  ScheduleMap baseSchedules;
-  ScheduleMap twillSchedules;
-  uint32_t expected = 0;
-  bool ok = false;
-};
-
-/// `withBaseline = false` skips compiling/scheduling the pure-SW/HW module
-/// (the checksum is taken from the optimized module before extraction);
-/// Twill-only parameter sweeps don't pay for a baseline they never simulate.
-inline PreparedKernel prepareKernel(const KernelInfo& k, const DswpConfig& dswpCfg = {},
-                                    unsigned inlineThreshold = 100, bool withBaseline = true) {
-  PreparedKernel out;
-  out.name = k.name;
-  auto compile = [&](std::unique_ptr<Module>& m) {
-    m = std::make_unique<Module>();
-    DiagEngine diag;
-    if (!compileC(k.source, *m, diag)) {
-      std::fprintf(stderr, "%s: compile failed:\n%s\n", k.name, diag.str().c_str());
-      return false;
-    }
-    runDefaultPipeline(*m, inlineThreshold);
-    return true;
-  };
-  if (withBaseline && !compile(out.base)) return out;
-  if (!compile(out.twillMod)) return out;
-  {
-    Interp in(withBaseline ? *out.base : *out.twillMod);
-    out.expected = in.run("main");
-  }
-  out.dswp = runDswp(*out.twillMod, dswpCfg);
-  if (withBaseline) out.baseSchedules = scheduleModule(*out.base);
-  out.twillSchedules = scheduleModule(*out.twillMod);
-  out.ok = true;
-  return out;
+/// Driver options for a report that runs only the Twill flow (the split and
+/// queue sweeps read nothing from the pure flows).
+inline DriverOptions twillOnly() {
+  DriverOptions opts;
+  opts.runPureSW = false;
+  opts.runPureHW = false;
+  return opts;
 }
 
-/// Runs the Twill simulation for a prepared kernel under `cfg`, verifying
-/// the checksum. Returns 0 cycles on failure (and prints why). Pass a
-/// SimProgram to share one decode across a parameter sweep.
-inline uint64_t runTwillCycles(PreparedKernel& pk, const SimConfig& cfg,
-                               SimProgram* shared = nullptr) {
-  SimOutcome o = simulateTwill(*pk.twillMod, pk.dswp, cfg, pk.twillSchedules, shared);
-  if (!o.ok || o.result != pk.expected) {
-    std::fprintf(stderr, "%s: twill sim failed: %s\n", pk.name.c_str(), o.message.c_str());
-    return 0;
-  }
-  return o.cycles;
+/// Twill cycles of a report, or 0 (with the reason on stderr) when it
+/// failed. The sweeps get their points from runBenchmark and
+/// resimulateTwill, so they observe the same verification and resource
+/// limits as every other front.
+inline uint64_t twillCycles(const BenchmarkReport& rep) {
+  if (rep.ok) return rep.twill.cycles;
+  std::fprintf(stderr, "%s: %s\n", rep.name.c_str(), rep.error.c_str());
+  return 0;
 }
 
 inline void header(const char* title, const char* paperNote) {

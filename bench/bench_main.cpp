@@ -41,18 +41,16 @@ double median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-/// One sweep over `values`: simulates each point, collecting cycles when
-/// `out` is given (null = pure timing pass; the `--repeat` reruns must
-/// measure exactly the workload the recorded sweep measured).
-void runSweep(PreparedKernel& pk, SimProgram& prog, const std::vector<unsigned>& values,
-              bool isLatency, std::vector<uint64_t>* out) {
+/// One sweep over `values`: re-simulates the anchor's kept artifacts at each
+/// point, collecting cycles when `out` is given (null = pure timing pass;
+/// the `--repeat` reruns must measure exactly the workload the recorded
+/// sweep measured).
+void runSweep(const BenchmarkReport& anchor, const std::vector<unsigned>& values, bool isLatency,
+              std::vector<uint64_t>* out) {
   for (unsigned v : values) {
-    SimConfig sc;
-    if (isLatency)
-      sc.queueLatency = v;
-    else
-      sc.queueCapacity = v;
-    uint64_t cycles = runTwillCycles(pk, sc, &prog);
+    DriverOptions opts;
+    (isLatency ? opts.sim.queueLatency : opts.sim.queueCapacity) = v;
+    uint64_t cycles = twillCycles(resimulateTwill(anchor, opts));
     if (out != nullptr) out->push_back(cycles);
   }
 }
@@ -74,7 +72,7 @@ KernelRun computeKernel(const KernelInfo& k, const BenchCli& cli) {
   for (unsigned rep = 0; rep < cli.repeat; ++rep) {
     auto tr = Clock::now();
     DriverOptions dopts;
-    dopts.keepTwillArtifacts = !cli.quick;  // sweeps reuse the extracted module
+    dopts.keepTwillArtifacts = !cli.quick;  // the sweeps re-simulate these
     BenchmarkReport ri = runBenchmark(k.name, k.source, dopts);
     reportTimes.push_back(msSince(tr));
     if (rep == 0) kr.report = std::move(ri);
@@ -83,20 +81,12 @@ KernelRun computeKernel(const KernelInfo& k, const BenchCli& cli) {
 
   if (!cli.quick && kr.report.ok && kr.report.twillArtifacts) {
     // Fig. 6.5 / 6.6: re-simulate across queue latencies and capacities,
-    // reusing the module runBenchmark already extracted and scheduled.
-    PreparedKernel pk;
-    pk.name = k.name;
-    pk.expected = kr.report.expected;
-    pk.twillMod = std::move(kr.report.twillArtifacts->module);
-    pk.dswp = std::move(kr.report.twillArtifacts->dswp);
-    pk.twillSchedules = std::move(kr.report.twillArtifacts->schedules);
-    pk.ok = true;
+    // reusing the module (and decode) runBenchmark already produced.
     kr.hasSweeps = true;
     std::vector<double> sweepTimes;
-    SimProgram prog(*pk.twillMod, pk.twillSchedules);  // one decode, all runs
     auto t0 = Clock::now();
-    runSweep(pk, prog, kQueueLatencySweep, /*isLatency=*/true, &kr.latencyCycles);
-    runSweep(pk, prog, kQueueCapacitySweep, /*isLatency=*/false, &kr.capacityCycles);
+    runSweep(kr.report, kQueueLatencySweep, /*isLatency=*/true, &kr.latencyCycles);
+    runSweep(kr.report, kQueueCapacitySweep, /*isLatency=*/false, &kr.capacityCycles);
     const double recordingPassMs = msSince(t0);
     if (cli.repeat == 1) {
       sweepTimes.push_back(recordingPassMs);
@@ -105,8 +95,8 @@ KernelRun computeKernel(const KernelInfo& k, const BenchCli& cli) {
       // result vectors (a different workload), so it is excluded.
       for (unsigned rep = 0; rep < cli.repeat; ++rep) {
         t0 = Clock::now();
-        runSweep(pk, prog, kQueueLatencySweep, /*isLatency=*/true, nullptr);
-        runSweep(pk, prog, kQueueCapacitySweep, /*isLatency=*/false, nullptr);
+        runSweep(kr.report, kQueueLatencySweep, /*isLatency=*/true, nullptr);
+        runSweep(kr.report, kQueueCapacitySweep, /*isLatency=*/false, nullptr);
         sweepTimes.push_back(msSince(t0));
       }
     }

@@ -12,35 +12,35 @@ int main() {
          "reduces queue count and improves performance");
 
   const KernelInfo* k = findKernel("blowfish");
-  PreparedKernel ref = prepareKernel(*k);
-  SimOutcome hw = simulatePureHW(*ref.base, ref.baseSchedules);
+  DriverOptions hwOnly;
+  hwOnly.runPureSW = false;
+  hwOnly.runTwill = false;
+  const uint64_t hwCycles = runBenchmark(k->name, k->source, hwOnly).hw.cycles;
+  auto row = [&](const char* label, const DswpConfig& cfg) {
+    DriverOptions opts = twillOnly();
+    opts.dswp = cfg;
+    const BenchmarkReport r = runBenchmark(k->name, k->source, opts);
+    const uint64_t cycles = twillCycles(r);
+    double vsHW = cycles ? static_cast<double>(hwCycles) / cycles : 0;
+    std::printf("%-12s %12llu %10u %11.2fx\n", label, static_cast<unsigned long long>(cycles),
+                r.queues, vsHW);
+  };
 
   std::printf("%-12s %12s %10s %12s\n", "SW split", "Twill cycles", "#queues", "vs pure HW");
   for (double split : {0.05, 0.10, 0.25, 0.40, 0.50, 0.65, 0.80, 0.95}) {
     DswpConfig cfg;
     cfg.swFraction = split;
-    PreparedKernel pk = prepareKernel(*k, cfg);
-    if (!pk.ok) continue;
-    SimConfig sc;
-    uint64_t cycles = runTwillCycles(pk, sc);
-    double vsHW = cycles ? static_cast<double>(hw.cycles) / cycles : 0;
-    std::printf("%11.0f%% %12llu %10u %11.2fx\n", split * 100,
-                static_cast<unsigned long long>(cycles), pk.dswp.totalQueues(), vsHW);
+    char label[16];
+    std::snprintf(label, sizeof label, "%11.0f%%", split * 100);
+    row(label, cfg);
   }
 
   // "Modified heuristic" row: fewer, larger partitions to cut the
   // master-control ping-pong the thesis diagnosed (§6.4).
-  {
-    DswpConfig cfg;
-    cfg.swFraction = 0.05;
-    cfg.numPartitions = 2;
-    PreparedKernel pk = prepareKernel(*k, cfg);
-    SimConfig sc;
-    uint64_t cycles = runTwillCycles(pk, sc);
-    double vsHW = cycles ? static_cast<double>(hw.cycles) / cycles : 0;
-    std::printf("%-12s %12llu %10u %11.2fx\n", "tuned(K=2)",
-                static_cast<unsigned long long>(cycles), pk.dswp.totalQueues(), vsHW);
-  }
+  DswpConfig tuned;
+  tuned.swFraction = 0.05;
+  tuned.numPartitions = 2;
+  row("tuned(K=2)", tuned);
   std::printf("\n(Thesis: tuning the heuristic for Blowfish gave 1.89x over pure HW and\n"
               " reduced the queue count from 92 to 34.)\n");
   return 0;

@@ -18,15 +18,15 @@ int main() {
   double slowdown128Sum = 0;
   int count = 0;
   for (const auto& k : chstoneKernels()) {
-    PreparedKernel pk = prepareKernel(k, {}, 100, /*withBaseline=*/false);
-    if (!pk.ok) continue;
+    DriverOptions opts = twillOnly();
+    opts.keepTwillArtifacts = true;
+    const BenchmarkReport anchor = runBenchmark(k.name, k.source, opts);
     uint64_t baseCycles = 0;
     std::printf("%-10s", k.name);
     double last = 1.0;
     for (unsigned l : latencies) {
-      SimConfig sc;
-      sc.queueLatency = l;
-      uint64_t cycles = runTwillCycles(pk, sc);
+      opts.sim.queueLatency = l;
+      uint64_t cycles = twillCycles(resimulateTwill(anchor, opts));
       if (l == 2) baseCycles = cycles;
       double norm = (cycles && baseCycles) ? static_cast<double>(baseCycles) / cycles : 0;
       std::printf(" %10.3f", norm);

@@ -17,22 +17,16 @@ int main() {
   double s32Sum = 0;
   int count = 0;
   for (const auto& k : chstoneKernels()) {
-    PreparedKernel pk = prepareKernel(k, {}, 100, /*withBaseline=*/false);
-    if (!pk.ok) continue;
-    uint64_t baseCycles = 0;
-    std::vector<double> norms;
-    // First pass: measure len=8 (the normalization base).
-    {
-      SimConfig sc;
-      sc.queueCapacity = 8;
-      baseCycles = runTwillCycles(pk, sc);
-    }
+    // The anchor runs the default length-8 queues (the normalization base).
+    DriverOptions opts = twillOnly();
+    opts.keepTwillArtifacts = true;
+    const BenchmarkReport anchor = runBenchmark(k.name, k.source, opts);
+    const uint64_t baseCycles = twillCycles(anchor);
     std::printf("%-10s", k.name);
     double n32 = 1.0;
     for (unsigned s : sizes) {
-      SimConfig sc;
-      sc.queueCapacity = s;
-      uint64_t cycles = runTwillCycles(pk, sc);
+      opts.sim.queueCapacity = s;
+      uint64_t cycles = twillCycles(resimulateTwill(anchor, opts));
       double norm = (cycles && baseCycles) ? static_cast<double>(baseCycles) / cycles : 0;
       if (s == 32) n32 = norm;
       std::printf(" %9.3f", norm);

@@ -25,66 +25,54 @@ int main() {
 
   // Baselines.
   {
-    PreparedKernel pk = prepareKernel(k);
-    SimOutcome sw = simulatePureSW(*pk.base);
-    SimOutcome hw = simulatePureHW(*pk.base, pk.baseSchedules);
-    AreaEstimate legup;
-    for (auto& [fn, s] : pk.baseSchedules) legup += s.area;
+    DriverOptions opts;
+    opts.runTwill = false;
+    const BenchmarkReport r = runBenchmark(k.name, k.source, opts);
     std::printf("%-22s %10llu %8s %10s %9s\n", "pure software",
-                static_cast<unsigned long long>(sw.cycles), "-", "-", "-");
+                static_cast<unsigned long long>(r.sw.cycles), "-", "-", "-");
     std::printf("%-22s %10llu %8s %10s %9u\n", "pure hardware",
-                static_cast<unsigned long long>(hw.cycles), "-", "-", legup.luts);
+                static_cast<unsigned long long>(r.hw.cycles), "-", "-", r.areas.legup.luts);
   }
+
+  // One Twill row: cycles and DSWP structure from the report, plus the HW
+  // threads' LUTs when asked for.
+  auto row = [](const char* label, const BenchmarkReport& r, bool withLuts) {
+    std::printf("%-22s %10llu %8u %10u ", label, static_cast<unsigned long long>(twillCycles(r)),
+                r.queues, r.hwThreads);
+    if (withLuts)
+      std::printf("%9u\n", r.areas.twillHwThreads.luts);
+    else
+      std::printf("%9s\n", "-");
+  };
 
   // Split-point sweep.
   for (double frac : {0.05, 0.25, 0.50}) {
-    DswpConfig cfg;
-    cfg.swFraction = frac;
-    PreparedKernel pk = prepareKernel(k, cfg);
-    if (!pk.ok) continue;
-    SimConfig sc;
-    uint64_t cycles = runTwillCycles(pk, sc);
-    AreaEstimate hwArea;
-    for (const auto& t : pk.dswp.threads)
-      if (t.isHW) {
-        auto it = pk.twillSchedules.find(t.fn);
-        if (it != pk.twillSchedules.end()) hwArea += it->second.area;
-      }
+    DriverOptions opts = twillOnly();
+    opts.dswp.swFraction = frac;
     char label[64];
     std::snprintf(label, sizeof label, "twill sw-split=%.0f%%", frac * 100);
-    std::printf("%-22s %10llu %8u %10u %9u\n", label,
-                static_cast<unsigned long long>(cycles), pk.dswp.totalQueues(),
-                pk.dswp.hwThreadCount(), hwArea.luts);
+    row(label, runBenchmark(k.name, k.source, opts), true);
   }
 
   // Partition-count sweep at the default split.
   for (unsigned kParts : {2u, 4u, 6u}) {
-    DswpConfig cfg;
-    cfg.numPartitions = kParts;
-    PreparedKernel pk = prepareKernel(k, cfg);
-    if (!pk.ok) continue;
-    SimConfig sc;
-    uint64_t cycles = runTwillCycles(pk, sc);
+    DriverOptions opts = twillOnly();
+    opts.dswp.numPartitions = kParts;
     char label[64];
     std::snprintf(label, sizeof label, "twill K=%u", kParts);
-    std::printf("%-22s %10llu %8u %10u %9s\n", label,
-                static_cast<unsigned long long>(cycles), pk.dswp.totalQueues(),
-                pk.dswp.hwThreadCount(), "-");
+    row(label, runBenchmark(k.name, k.source, opts), false);
   }
 
-  // Queue capacity sweep (Fig 6.6 in miniature).
+  // Queue capacity sweep (Fig 6.6 in miniature): one compile, re-simulated.
   {
-    DswpConfig cfg;
-    PreparedKernel pk = prepareKernel(k, cfg);
+    DriverOptions opts = twillOnly();
+    opts.keepTwillArtifacts = true;
+    const BenchmarkReport anchor = runBenchmark(k.name, k.source, opts);
     for (unsigned cap : {2u, 8u, 32u}) {
-      SimConfig sc;
-      sc.queueCapacity = cap;
-      uint64_t cycles = runTwillCycles(pk, sc);
+      opts.sim.queueCapacity = cap;
       char label[64];
       std::snprintf(label, sizeof label, "twill queue-len=%u", cap);
-      std::printf("%-22s %10llu %8u %10u %9s\n", label,
-                  static_cast<unsigned long long>(cycles), pk.dswp.totalQueues(),
-                  pk.dswp.hwThreadCount(), "-");
+      row(label, resimulateTwill(anchor, opts), false);
     }
   }
 

@@ -86,6 +86,79 @@ std::unordered_set<const Function*> hwFunctions(const DswpResult& dswp) {
   return hw;
 }
 
+/// The simulators' config for a run: the caller's sim knobs under the
+/// resource ceilings (see the DriverOptions::limits doc). When the caller
+/// did not plumb a sim recorder explicitly, the thread's installed one
+/// (twillc --trace, twilld --trace-dir) is inherited, so one flag captures
+/// compile and sim in a single file.
+SimConfig simConfigFor(const DriverOptions& opts) {
+  SimConfig sim = opts.sim;
+  sim.memoryBytes = opts.limits.memLimitBytes;
+  sim.wallBudgetMs = opts.limits.stageTimeoutMs;
+  if (!sim.trace) sim.trace = currentTrace();
+  return sim;
+}
+
+/// Validates rep.twill against the golden checksum: on a failed simulation
+/// or a result mismatch, sets ok=false with the canonical error string and
+/// returns false. Shared by runBenchmark and resimulateTwill so both
+/// classify a failing configuration identically.
+bool acceptTwillOutcome(BenchmarkReport& rep) {
+  if (!rep.twill.ok) {
+    rep.ok = false;
+    rep.twillSimFailure = true;
+    rep.failureKind = rep.twill.resourceBreach ? FailureKind::Resource : FailureKind::Sim;
+    rep.error = "twill simulation failed: " + rep.twill.message;
+    return false;
+  }
+  if (rep.twill.result != rep.expected) {
+    rep.ok = false;
+    rep.twillSimFailure = true;
+    rep.failureKind = FailureKind::Sim;
+    rep.error = "twill result mismatch";
+    return false;
+  }
+  rep.twillSimFailure = false;
+  rep.failureKind = FailureKind::None;
+  return true;
+}
+
+/// Computes the Fig. 6.1 power fields (powerSW/HW/Twill, normalized to pure
+/// SW) from the flow outcomes, areas and thread counts on the report.
+void computePower(BenchmarkReport& rep) {
+  PowerInputs swIn;
+  swIn.luts = PrimitiveAreas::kMicroblazeLuts;
+  swIn.brams = PrimitiveAreas::kMicroblazeBrams;
+  swIn.hasMicroblaze = true;
+  swIn.totalCycles = rep.sw.cycles;
+  swIn.cpuBusyCycles = rep.sw.cpuBusy;
+  double pSW = estimatePower(swIn);
+
+  PowerInputs hwIn;
+  hwIn.luts = rep.areas.legup.luts;
+  hwIn.dsps = rep.areas.legup.dsps;
+  hwIn.brams = rep.areas.legup.brams;
+  hwIn.totalCycles = rep.hw.cycles;
+  hwIn.hwBusyCycles = rep.hw.hwBusy;
+  double pHW = estimatePower(hwIn);
+
+  PowerInputs twIn;
+  twIn.luts = rep.areas.twillPlusMicroblaze.luts;
+  twIn.dsps = rep.areas.twillPlusMicroblaze.dsps;
+  twIn.brams = rep.areas.twillPlusMicroblaze.brams;
+  twIn.hasMicroblaze = true;
+  twIn.totalCycles = rep.twill.cycles;
+  twIn.cpuBusyCycles = rep.twill.cpuBusy;
+  twIn.hwBusyCycles = rep.twill.hwBusy;
+  twIn.hwThreads = rep.hwThreads ? rep.hwThreads : 1;
+  twIn.busMessages = rep.twill.busMessages + rep.twill.memBusMessages;
+  double pTwill = estimatePower(twIn);
+
+  rep.powerSW = 1.0;
+  rep.powerHW = pSW > 0 ? pHW / pSW : 0;
+  rep.powerTwill = pSW > 0 ? pTwill / pSW : 0;
+}
+
 AreaEstimate runtimeArea(const DswpResult& dswp, unsigned hwThreadCount) {
   AreaEstimate a;
   a.luts += static_cast<unsigned>(dswp.channels.size()) * PrimitiveAreas::kQueueLuts;
@@ -111,15 +184,7 @@ BenchmarkReport runBenchmark(const std::string& name, const std::string& source,
   rep.ranHW = opts.runPureHW && !verifyOnly;
   rep.ranTwill = opts.runTwill && !verifyOnly;
 
-  // Simulators observe the resource ceilings through their config (see the
-  // DriverOptions::limits doc).
-  SimConfig sim = opts.sim;
-  sim.memoryBytes = opts.limits.memLimitBytes;
-  sim.wallBudgetMs = opts.limits.stageTimeoutMs;
-  // When the caller did not plumb a sim recorder explicitly, inherit the
-  // thread's installed one (twillc --trace, twilld --trace-dir) so one flag
-  // captures compile and sim in a single file.
-  if (!sim.trace) sim.trace = currentTrace();
+  const SimConfig sim = simConfigFor(opts);
 
   // --- Baseline module (pure SW, pure HW, golden reference) -----------------
   std::unique_ptr<Module> base = compileAndOptimize(source, opts.inlineThreshold, opts.limits,
@@ -240,57 +305,46 @@ BenchmarkReport runBenchmark(const std::string& name, const std::string& source,
   // DSWP only adds master/slave functions and redirects call sites in the
   // survivors — their schedules are reused the way SimProgram shares
   // decodes, so each function is scheduled once per report, not per flow.
+  auto art = std::make_shared<TwillArtifacts>();
+  art->module = std::move(tm);
+  art->dswp = std::move(dswp);
   StageSpan schedSpan("schedule");
-  ScheduleMap twillSchedules = scheduleModule(*tm, opts.hls, baseSchedules);
+  art->schedules = scheduleModule(*art->module, opts.hls, baseSchedules);
   rep.stages.scheduleMs += schedSpan.closeMs();
-  rep.twill = simulateTwill(*tm, dswp, sim, twillSchedules);
+  // Kept artifacts carry their decode, laid out under this run's memory
+  // ceiling; this run decodes through it so re-simulations reuse the work.
+  if (opts.keepTwillArtifacts)
+    art->program = std::make_unique<SimProgram>(*art->module, art->schedules, sim.memoryBytes);
+  rep.twill = simulateTwill(*art->module, art->dswp, sim, art->schedules, art->program.get());
   if (!acceptTwillOutcome(rep)) return rep;
 
   // Areas (Table 6.2 columns).
-  auto hwFns = hwFunctions(dswp);
-  for (const Function* f : hwFns) {
-    auto it = twillSchedules.find(f);
-    if (it != twillSchedules.end()) rep.areas.twillHwThreads += it->second.area;
+  for (const Function* f : hwFunctions(art->dswp)) {
+    auto it = art->schedules.find(f);
+    if (it != art->schedules.end()) rep.areas.twillHwThreads += it->second.area;
   }
   rep.areas.twillTotal = rep.areas.twillHwThreads;
-  rep.areas.twillTotal += runtimeArea(dswp, rep.hwThreads);
+  rep.areas.twillTotal += runtimeArea(art->dswp, rep.hwThreads);
   rep.areas.twillPlusMicroblaze = rep.areas.twillTotal;
   rep.areas.twillPlusMicroblaze.luts += PrimitiveAreas::kMicroblazeLuts;
   rep.areas.twillPlusMicroblaze.brams += PrimitiveAreas::kMicroblazeBrams;
 
   // Power (Fig. 6.1): normalized to pure SW.
-  if (opts.runPureSW && opts.runPureHW) computePower(rep);
+  if (rep.ranSW && rep.ranHW) computePower(rep);
 
-  if (opts.keepTwillArtifacts) {
-    auto art = std::make_shared<TwillArtifacts>();
-    art->module = std::move(tm);
-    art->dswp = std::move(dswp);
-    art->schedules = std::move(twillSchedules);
-    rep.twillArtifacts = std::move(art);
-  }
-
+  if (opts.keepTwillArtifacts) rep.twillArtifacts = std::move(art);
   rep.ok = true;
   return rep;
 }
 
-bool acceptTwillOutcome(BenchmarkReport& rep) {
-  if (!rep.twill.ok) {
-    rep.ok = false;
-    rep.twillSimFailure = true;
-    rep.failureKind = rep.twill.resourceBreach ? FailureKind::Resource : FailureKind::Sim;
-    rep.error = "twill simulation failed: " + rep.twill.message;
-    return false;
-  }
-  if (rep.twill.result != rep.expected) {
-    rep.ok = false;
-    rep.twillSimFailure = true;
-    rep.failureKind = FailureKind::Sim;
-    rep.error = "twill result mismatch";
-    return false;
-  }
-  rep.twillSimFailure = false;
-  rep.failureKind = FailureKind::None;
-  return true;
+BenchmarkReport resimulateTwill(const BenchmarkReport& anchor, const DriverOptions& opts) {
+  BenchmarkReport rep = anchor;
+  if (!anchor.twillArtifacts) return rep;
+  TwillArtifacts& art = *anchor.twillArtifacts;
+  rep.twill =
+      simulateTwill(*art.module, art.dswp, simConfigFor(opts), art.schedules, art.program.get());
+  if (acceptTwillOutcome(rep) && rep.ranSW && rep.ranHW) computePower(rep);
+  return rep;
 }
 
 const char* failureKindName(FailureKind k) {
@@ -302,40 +356,6 @@ const char* failureKindName(FailureKind k) {
     case FailureKind::None: break;
   }
   return "none";
-}
-
-void computePower(BenchmarkReport& rep) {
-  PowerInputs swIn;
-  swIn.luts = PrimitiveAreas::kMicroblazeLuts;
-  swIn.brams = PrimitiveAreas::kMicroblazeBrams;
-  swIn.hasMicroblaze = true;
-  swIn.totalCycles = rep.sw.cycles;
-  swIn.cpuBusyCycles = rep.sw.cpuBusy;
-  double pSW = estimatePower(swIn);
-
-  PowerInputs hwIn;
-  hwIn.luts = rep.areas.legup.luts;
-  hwIn.dsps = rep.areas.legup.dsps;
-  hwIn.brams = rep.areas.legup.brams;
-  hwIn.totalCycles = rep.hw.cycles;
-  hwIn.hwBusyCycles = rep.hw.hwBusy;
-  double pHW = estimatePower(hwIn);
-
-  PowerInputs twIn;
-  twIn.luts = rep.areas.twillPlusMicroblaze.luts;
-  twIn.dsps = rep.areas.twillPlusMicroblaze.dsps;
-  twIn.brams = rep.areas.twillPlusMicroblaze.brams;
-  twIn.hasMicroblaze = true;
-  twIn.totalCycles = rep.twill.cycles;
-  twIn.cpuBusyCycles = rep.twill.cpuBusy;
-  twIn.hwBusyCycles = rep.twill.hwBusy;
-  twIn.hwThreads = rep.hwThreads ? rep.hwThreads : 1;
-  twIn.busMessages = rep.twill.busMessages + rep.twill.memBusMessages;
-  double pTwill = estimatePower(twIn);
-
-  rep.powerSW = 1.0;
-  rep.powerHW = pSW > 0 ? pHW / pSW : 0;
-  rep.powerTwill = pSW > 0 ? pTwill / pSW : 0;
 }
 
 namespace {

@@ -41,8 +41,9 @@ struct DriverOptions {
   bool runPureSW = true;
   bool runPureHW = true;
   bool runTwill = true;
-  /// Keep the extracted module, DSWP result and schedules on the report so
-  /// callers (bench sweeps) can re-simulate without re-compiling.
+  /// Keep the extracted module, DSWP result, schedules and their decode on
+  /// the report so callers (bench sweeps, the explorer, twilld's artifact
+  /// cache) can re-simulate it with resimulateTwill without re-compiling.
   bool keepTwillArtifacts = false;
   /// Run the static partition verifier (src/verify) over the extracted
   /// module before spending any cycles simulating it. Failures are
@@ -76,6 +77,11 @@ struct TwillArtifacts {
   std::unique_ptr<Module> module;  // extracted module (dswp points into it)
   DswpResult dswp;
   ScheduleMap schedules;
+  /// The decode of `module`, laid out under the producing run's memory
+  /// ceiling. The run's own Twill simulation went through it, so every
+  /// re-simulation reuses that decode. Its lazy decode cache is not
+  /// thread-safe: re-simulations of one artifact set must be serialized.
+  std::unique_ptr<SimProgram> program;
 };
 
 struct FlowAreas {
@@ -103,9 +109,9 @@ struct BenchmarkReport {
   std::string name;
   bool ok = false;
   std::string error;
-  /// Set by acceptTwillOutcome when the failure came from the Twill co-sim
-  /// (and so depends on the sim knobs), as opposed to compile/verification/
-  /// pure-flow failures, which depend only on the source and compile knobs.
+  /// Set when the failure came from the Twill co-sim (and so depends on the
+  /// sim knobs), as opposed to compile/verification/pure-flow failures,
+  /// which depend only on the source and compile knobs.
   /// The explorer uses this to decide whether a failed configuration says
   /// anything about its compile-group neighbours.
   bool twillSimFailure = false;
@@ -162,18 +168,17 @@ struct BenchmarkReport {
 BenchmarkReport runBenchmark(const std::string& name, const std::string& source,
                              const DriverOptions& opts = {});
 
-/// Recomputes the Fig. 6.1 power fields (powerSW/HW/Twill) from the flow
-/// outcomes, areas and thread counts already on the report. runBenchmark
-/// calls this once all three flows ran; the explorer reuses it when it
-/// re-simulates the Twill flow of a prepared report under a different
-/// SimConfig (the outcomes change, the formula does not).
-void computePower(BenchmarkReport& rep);
-
-/// Validates rep.twill against the golden checksum: on a failed simulation
-/// or a result mismatch, sets ok=false with the canonical error string and
-/// returns false. Shared by runBenchmark and the explorer's artifact-reuse
-/// path so both classify a failing configuration identically.
-bool acceptTwillOutcome(BenchmarkReport& rep);
+/// Re-simulates the Twill flow of `anchor`, a report runBenchmark produced
+/// with keepTwillArtifacts, under `opts`' sim knobs and resource limits.
+/// This is the one re-simulation path (bench sweeps, the explorer's compile
+/// groups, twilld's artifact cache). The sim config is derived from `opts`
+/// exactly as runBenchmark derives it. Everything but the Twill outcome and
+/// power carries over from the anchor: module, schedules, DSWP structure,
+/// areas and pure-flow outcomes (those read no Twill-only knob). So `opts`
+/// must hold the anchor's compile knobs and limits; only the Twill-only sim
+/// knobs (queue capacity/latency, processors, scheduler quantum) may differ.
+/// An anchor without artifacts is returned unchanged.
+BenchmarkReport resimulateTwill(const BenchmarkReport& anchor, const DriverOptions& opts);
 
 class JsonWriter;
 

@@ -59,55 +59,33 @@ void evalGroup(const ExploreRequest& req, ExploreResult& res, size_t first, size
   captureInto(opts.sim, anchorRec);
   takeReport(anchor, runBenchmark(res.name, req.source, opts));
   if (anchorRec) anchor.traceJson = anchorRec->toJson();
-  std::shared_ptr<TwillArtifacts> art = std::move(anchor.report.twillArtifacts);
 
   if (count == 1) return;
-  if (!anchor.ok || !art) {
-    // Only the Twill co-sim reads the sim axes, so its failures
-    // (twillSimFailure, classified by acceptTwillOutcome) get their own
-    // full evaluation per point — a sim failure at one queue configuration
-    // says nothing about the others. Every other anchor failure (compile,
-    // verification, pure flows) is shared by the whole group and is copied
-    // rather than deterministically reproduced count-1 more times.
-    const bool simDependent = anchor.ok || anchor.report.twillSimFailure;
-    for (size_t k = 1; k < count; ++k) {
-      PointResult& p = res.points[first + k];
-      if (simDependent) {
-        DriverOptions po = optionsFor(req, p.point);
-        std::unique_ptr<TraceRecorder> rec;
-        captureInto(po.sim, rec);
-        takeReport(p, runBenchmark(res.name, req.source, po));
-        if (rec) p.traceJson = rec->toJson();
-      } else {
-        p.report = anchor.report;
-        p.ok = false;
-        p.error = anchor.error;
-      }
-    }
-    return;
-  }
-
-  SimProgram prog(*art->module, art->schedules);  // one decode for the group
+  // A kept artifact set (the anchor succeeded) is re-simulated under each
+  // point's sim knobs. Only the Twill co-sim reads the sim axes, so its
+  // failures (twillSimFailure) get their own full evaluation per point — a
+  // sim failure at one queue configuration says nothing about the others.
+  // Every other anchor failure (compile, verification, pure flows) is shared
+  // by the whole group and is copied rather than deterministically
+  // reproduced count-1 more times.
+  const bool reuse = anchor.report.twillArtifacts != nullptr;
   for (size_t k = 1; k < count; ++k) {
     PointResult& p = res.points[first + k];
-    // Everything but the Twill outcome and power carries over from the
-    // anchor: same module, schedules, DSWP structure, areas, and pure-flow
-    // outcomes (those read no swept sim knob; see runPureLoop).
-    p.report = anchor.report;
-    // The artifact-reuse path must observe the same resource ceilings the
-    // driver derives from its limits (driver.cpp does this for the anchor).
-    SimConfig sim = p.point.sim;
-    sim.memoryBytes = req.limits.memLimitBytes;
-    sim.wallBudgetMs = req.limits.stageTimeoutMs;
+    if (!reuse && !anchor.report.twillSimFailure) {
+      p.report = anchor.report;
+      p.ok = false;
+      p.error = anchor.error;
+      continue;
+    }
+    DriverOptions po = optionsFor(req, p.point);
     std::unique_ptr<TraceRecorder> rec;
-    captureInto(sim, rec);
-    p.report.twill = simulateTwill(*art->module, art->dswp, sim, art->schedules, &prog);
+    captureInto(po.sim, rec);
+    takeReport(p, reuse ? resimulateTwill(anchor.report, po)
+                        : runBenchmark(res.name, req.source, po));
+    p.report.twillArtifacts.reset();
     if (rec) p.traceJson = rec->toJson();
-    if (acceptTwillOutcome(p.report)) computePower(p.report);
-    p.ok = p.report.ok;
-    p.error = p.report.error;
-    if (p.ok) fillObjectives(p);
   }
+  anchor.report.twillArtifacts.reset();
 }
 
 struct GroupTask {

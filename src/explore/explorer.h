@@ -9,15 +9,15 @@
 // Parallelism and determinism: the unit of work is a *compile group* — all
 // points sharing the compile-side knobs (partition count, SW fraction).
 // One worker evaluates a group end to end: a full runBenchmark() for the
-// group's first point (keeping the Twill artifacts), then one
-// simulateTwill() per remaining point against those artifacts through a
-// shared SimProgram (one decode per group, the PR 3 schedule cache inside
-// runBenchmark). Pure-SW/HW outcomes are reused across the group — they
-// read only SimConfig::maxCycles (sim/system.cpp runPureLoop), which is not
-// an axis. Groups land in per-index slots and are merged in enumeration
-// order, so the output is identical for any --jobs value. Sharing a
-// SimProgram concurrently would race on its lazy decode cache, which is
-// exactly why sim points stay inside their group's worker.
+// group's first point (keeping the Twill artifacts, whose decode that run
+// already made), then one resimulateTwill() per remaining point against
+// those artifacts (one decode per group). Pure-SW/HW outcomes are reused
+// across the group — they read only SimConfig::maxCycles (sim/system.cpp
+// runPureLoop), which is not an axis. Groups land in per-index slots and
+// are merged in enumeration order, so the output is identical for any
+// --jobs value. Sharing the artifacts' decode concurrently would race on
+// its lazy decode cache, which is exactly why sim points stay inside their
+// group's worker.
 #pragma once
 
 #include <string>

@@ -1,6 +1,7 @@
 #include "src/serve/service.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/exec/superblock.h"
 #include "src/support/json.h"
@@ -371,9 +372,10 @@ void TwillService::runJob(uint64_t id) {
   }
 
   // Per-job trace: the queued span is emitted retroactively now that it
-  // ended; the run span closes (and the file is written) on every return
-  // path below. The TraceScope makes the compile-stage spans land here, and
-  // cfg.trace (set on the sim paths) adds the cycle-stamped sim rows.
+  // ended. The TraceScope makes the compile-stage spans and the driver's
+  // cycle-stamped sim rows land here; closeTrace adds the run span and
+  // writes the file before the job is published, so a client that sees the
+  // job done also finds its trace on disk.
   const uint64_t runStartUs = traceNowUs();
   if (trace) {
     trace->setProcessName(kTracePidServe, "twilld (wall us)");
@@ -382,88 +384,78 @@ void TwillService::runJob(uint64_t id) {
     trace->span(kTracePidServe, 0, catJob, trace->intern("queued"), submitUs, runStartUs);
   }
   TraceScope traceScope(trace.get());
-  struct JobTraceCloser {
-    TraceRecorder* trace;
-    const std::string& dir;
-    uint64_t id;
-    uint64_t startUs;
-    ~JobTraceCloser() {
-      if (!trace) return;
-      const TraceRecorder::StrId catJob = trace->intern("job");
-      trace->span(kTracePidServe, 0, catJob, trace->intern("run"), startUs, traceNowUs());
-      std::string error;  // best-effort: a full disk must not fail the job
-      trace->writeFile(dir + "/job-" + std::to_string(id) + ".trace.json", error);
-    }
-  } traceCloser{trace.get(), cfg_.traceDir, id, runStartUs};
+  auto closeTrace = [&] {
+    if (!trace) return;
+    const TraceRecorder::StrId catJob = trace->intern("job");
+    trace->span(kTracePidServe, 0, catJob, trace->intern("run"), runStartUs, traceNowUs());
+    std::string error;  // best-effort: a full disk must not fail the job
+    trace->writeFile(cfg_.traceDir + "/job-" + std::to_string(id) + ".trace.json", error);
+  };
 
   const std::string fullKey = requestCacheKey(req);
   const std::string compileKey = compileCacheKey(req);
 
   // Level 1: byte-identical repeat — serve the stored document.
   std::shared_ptr<CacheEntry> entry;
+  std::optional<std::pair<int, std::string>> stored;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto hit = responses_.find(fullKey);
     if (hit != responses_.end()) {
       mFullHits_->inc();
       responseUse_[fullKey] = ++useClock_;
-      auto it = jobs_.find(id);
-      if (it != jobs_.end()) {
-        Job& job = it->second;
-        job.httpStatus = hit->second.first;
-        job.responseJson = hit->second.second;
-        job.ok = job.httpStatus == 200;
-        // failureKind/ok bookkeeping comes from the status map inverse:
-        job.failureKind = job.httpStatus == 200   ? FailureKind::None
-                          : job.httpStatus == 422 ? FailureKind::Compile
-                          : job.httpStatus == 412 ? FailureKind::Verify
-                          : job.httpStatus == 413 ? FailureKind::Resource
-                                                  : FailureKind::Sim;
-        job.state = JobState::Done;
-        job.trace.reset();  // the closer's reference writes the file
-        countOutcome(job.failureKind);
+      stored = hit->second;
+    } else {
+      // Level 2 lookup happens under the same lock; the entry is used outside.
+      auto ahit = artifacts_.find(compileKey);
+      if (ahit != artifacts_.end() && ahit->second->source == req.source) {
+        entry = ahit->second;
+        entry->lastUse = ++useClock_;
       }
-      mInFlight_->add(-1);
-      drainCv_.notify_all();
-      return;
-    }
-    // Level 2 lookup happens under the same lock; the entry is used outside.
-    auto ahit = artifacts_.find(compileKey);
-    if (ahit != artifacts_.end() && ahit->second->source == req.source) {
-      entry = ahit->second;
-      entry->lastUse = ++useClock_;
     }
   }
-
-  if (entry) {
-    const BenchmarkReport& anchor = entry->anchor;
-    // A Twill-sim failure depends on the sim axes, so a cached failure says
-    // nothing about this request's configuration — fall through to a full
-    // run. Every other anchor outcome is reusable.
-    if (!(anchor.ok == false && anchor.twillSimFailure)) {
-      std::lock_guard<std::mutex> entryLock(entry->mu);
-      BenchmarkReport rep = anchor;
-      rep.name = req.name;
-      if (anchor.ok && rep.twillArtifacts) {
-        // Re-simulate the kept artifacts under this request's sim knobs,
-        // through the entry's shared decode (explorer's group-reuse path).
-        TwillArtifacts& art = *rep.twillArtifacts;
-        SimConfig sim = req.options.sim;
-        sim.memoryBytes = req.options.limits.memLimitBytes;
-        sim.wallBudgetMs = req.options.limits.stageTimeoutMs;
-        sim.trace = trace.get();  // this path bypasses the driver's hookup
-        rep.twill = simulateTwill(*art.module, art.dswp, sim, art.schedules, entry->prog.get());
-        if (acceptTwillOutcome(rep) && req.options.runPureSW && req.options.runPureHW)
-          computePower(rep);
-      }
-      // else: no artifacts (pure flows only, verify-only, or a compile-side
-      // failure) — the anchor outcome is sim-axis-independent and is reused
-      // verbatim.
-      rep.twillArtifacts.reset();
-      mArtifactHits_->inc();
-      finishJob(id, fullKey, rep);
-      return;
+  if (stored) {
+    closeTrace();
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = jobs_.find(id);
+    if (it != jobs_.end()) {
+      Job& job = it->second;
+      job.httpStatus = stored->first;
+      job.responseJson = std::move(stored->second);
+      job.ok = job.httpStatus == 200;
+      // failureKind/ok bookkeeping comes from the status map inverse:
+      job.failureKind = job.httpStatus == 200   ? FailureKind::None
+                        : job.httpStatus == 422 ? FailureKind::Compile
+                        : job.httpStatus == 412 ? FailureKind::Verify
+                        : job.httpStatus == 413 ? FailureKind::Resource
+                                                : FailureKind::Sim;
+      job.state = JobState::Done;
+      job.trace.reset();
+      countOutcome(job.failureKind);
     }
+    mInFlight_->add(-1);
+    drainCv_.notify_all();
+    return;
+  }
+
+  // A Twill-sim failure depends on the sim axes, so a cached failure says
+  // nothing about this request's configuration — fall through to a full
+  // run. Every other anchor outcome is reusable: kept artifacts are
+  // re-simulated under this request's sim knobs, and an anchor without
+  // them (pure flows only, verify-only, or a compile-side failure) is
+  // sim-axis-independent and comes back verbatim.
+  if (entry && !(!entry->anchor.ok && entry->anchor.twillSimFailure)) {
+    BenchmarkReport rep;
+    {
+      std::lock_guard<std::mutex> entryLock(entry->mu);
+      rep = resimulateTwill(entry->anchor, req.options);
+    }
+    rep.name = req.name;
+    rep.twillArtifacts.reset();
+    mArtifactHits_->inc();
+    closeTrace();
+    finishJob(id, fullKey, rep);
+    return;
   }
 
   // Miss: full compile + simulate, keeping the artifacts for future hits.
@@ -477,9 +469,6 @@ void TwillService::runJob(uint64_t id) {
     auto fresh = std::make_shared<CacheEntry>();
     fresh->source = req.source;
     fresh->anchor = rep;  // artifacts (if any) stay on the cached anchor
-    if (rep.ok && rep.twillArtifacts)
-      fresh->prog = std::make_unique<SimProgram>(*rep.twillArtifacts->module,
-                                                 rep.twillArtifacts->schedules);
     fresh->lastUse = ++useClock_;
     fresh->approxBytes = sizeof(CacheEntry) + req.source.size();
     if (rep.twillArtifacts && rep.twillArtifacts->module)
@@ -488,6 +477,7 @@ void TwillService::runJob(uint64_t id) {
     evictIfNeeded();
   }
   rep.twillArtifacts.reset();  // the response/job copy does not need them
+  closeTrace();
   finishJob(id, fullKey, rep);
 }
 
@@ -505,7 +495,7 @@ void TwillService::finishJob(uint64_t id, const std::string& fullKey,
     job.httpStatus = status;
     job.responseJson = doc;
     job.request = CompileRequest();  // the source is no longer needed
-    job.trace.reset();  // runJob's closer still holds a reference
+    job.trace.reset();
   }
   countOutcome(rep.ok ? FailureKind::None : rep.failureKind);
   // Cache the response under the full key (the level-1 hit path).

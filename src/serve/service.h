@@ -26,9 +26,9 @@
 //     answered with the stored report document — no compile, no sim.
 //   * Artifact cache (compile key): a request differing only in the
 //     Twill-only sim axes (queue capacity/latency, processors, sched
-//     quantum) re-simulates the cached compile's kept TwillArtifacts
-//     through a per-entry shared SimProgram — the same decode reuse the
-//     explorer's sim points get from their compile group.
+//     quantum) re-simulates the cached compile's kept TwillArtifacts with
+//     resimulateTwill, through the decode the miss already made — the same
+//     path the explorer's sim points take from their compile group.
 // Counters for both levels are exposed on /v1/stats; the serve-smoke CI job
 // and serve_test assert on them.
 #pragma once
@@ -46,7 +46,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/serve/http.h"
-#include "src/sim/system.h"
 
 namespace twill {
 
@@ -137,14 +136,13 @@ class TwillService {
     uint64_t submitUs = 0;
   };
 
-  /// One cached compile: the anchor report (artifacts attached when the
-  /// Twill flow succeeded) plus the shared decode for re-simulation.
-  /// `mu` serializes re-sims — SimProgram's lazy decode cache is not
-  /// concurrency-safe (same reason explorer sim points stay on one worker).
+  /// One cached compile: the anchor report, with its artifacts (and their
+  /// decode) attached when the Twill flow succeeded. `mu` serializes
+  /// re-sims — the artifacts' lazy decode cache is not concurrency-safe
+  /// (same reason explorer sim points stay on one worker).
   struct CacheEntry {
     std::string source;  // hash-collision guard: verified on every lookup
     BenchmarkReport anchor;
-    std::unique_ptr<SimProgram> prog;
     uint64_t lastUse = 0;
     /// Approximate footprint charged against ServiceConfig::maxCacheBytes:
     /// the kept module's arena reservation + source, fixed at insertion.

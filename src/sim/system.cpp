@@ -73,32 +73,25 @@ struct SwBurstModel {
   }
 };
 
-/// Hardware thread (HLS FSM executor): straight-line ops are absorbed into
-/// the block's static cycles, memory ops charge the (stateful) bus or
-/// dual-port BRAM, and terminators charge the block's FSM cost with the
-/// modulo-scheduled steady-state tracking. Mirrors SimThread::chargeFor.
-struct HwBurstModel {
-  BurstClock clk;
-  BusModel* memBus;      // Twill: the shared memory bus
-  PortModel* localMem;   // pure hardware: dual-port block memories
-  uint32_t prevBlock1;
-  uint32_t prevBlock2;
-  bool pipelinedMode;
-  const DecodedInst* finishInst = nullptr;
-
+/// The hardware-thread cost rules, shared by the per-inst path
+/// (SimThread::chargeFor) and the burst path (HwBurstModel) so the two cannot
+/// drift apart. Memory ops charge the (stateful) memory bus or dual-port BRAM
+/// grant plus the handshake; terminators charge the block's FSM cost, or its
+/// initiation interval once the block runs in modulo-scheduled steady state.
+struct HwCostRules {
   static constexpr uint32_t kNoBlock = 0xFFFFFFFFu;
 
-  bool begin() const { return clk.begin(); }
-  bool end(const SuperOp& so) {
-    if (so.op == Opcode::Load || so.op == Opcode::Store) {
-      unsigned handshake =
-          so.op == Opcode::Load ? RuntimeTiming::kMemRead : RuntimeTiming::kMemWrite;
-      if (pipelinedMode) handshake = 0;  // overlapped with compute
-      const uint64_t grant =
-          memBus ? memBus->acquire(clk.cycle) : localMem->acquire(clk.cycle);
-      return clk.advance((grant - clk.cycle) + handshake);
-    }
-    return clk.advance(0);  // absorbed into the block's static cycles
+  BusModel* memBus = nullptr;  // Twill: the shared memory bus (§4.1)
+  PortModel localMem{2};       // pure hardware: LegUp's dual-port block memories
+  uint32_t prevBlock1 = kNoBlock;
+  uint32_t prevBlock2 = kNoBlock;
+  bool pipelinedMode = false;
+
+  uint64_t memCost(Opcode op, uint64_t now) {
+    unsigned handshake = op == Opcode::Load ? RuntimeTiming::kMemRead : RuntimeTiming::kMemWrite;
+    if (pipelinedMode) handshake = 0;  // overlapped with compute
+    const uint64_t grant = memBus ? memBus->acquire(now) : localMem.acquire(now);
+    return (grant - now) + handshake;
   }
   uint64_t termCost(const DecodedInst& d) {
     switch (d.op) {
@@ -118,13 +111,29 @@ struct HwBurstModel {
         prevBlock1 = prevBlock2 = kNoBlock;
         return 1;
       default:
-        return 0;  // Switch et al: absorbed, like the per-inst engine
+        return 0;  // Switch et al: absorbed into the block's static cycles
     }
   }
-  bool endTerm(const DecodedInst& d) { return clk.advance(termCost(d)); }
+};
+
+/// Hardware thread (HLS FSM executor) on the burst path: straight-line ops
+/// are absorbed into the block's static cycles; memory ops and terminators
+/// charge through the thread's HwCostRules.
+struct HwBurstModel {
+  BurstClock clk;
+  HwCostRules& rules;
+  const DecodedInst* finishInst = nullptr;
+
+  bool begin() const { return clk.begin(); }
+  bool end(const SuperOp& so) {
+    if (so.op == Opcode::Load || so.op == Opcode::Store)
+      return clk.advance(rules.memCost(so.op, clk.cycle));
+    return clk.advance(0);
+  }
+  bool endTerm(const DecodedInst& d) { return clk.advance(rules.termCost(d)); }
   void endFinish(const DecodedInst& d) {
     finishInst = &d;
-    clk.finish(termCost(d));
+    clk.finish(rules.termCost(d));
   }
 };
 
@@ -142,7 +151,9 @@ public:
         state_(prog, mem, port_ ? static_cast<ChannelIO&>(*port_) : nullChans_, fn),
         fabric_(fabric),
         isHW_(isHW),
-        token_(token) {}
+        token_(token) {
+    if (fabric) hw_.memBus = &fabric->memoryBus();
+  }
 
   std::string describeLocation() const { return state_.describeLocation(); }
   const DecodedInst* peekInst() const { return state_.peekInst(); }
@@ -293,33 +304,24 @@ public:
   /// end = maxCycles + 1 so the limit diagnostic fires on the same cycle.
   SuperRunStatus runSuper(uint64_t& cycle, uint64_t end, uint64_t& lastProgress,
                           bool clampAtEnd) {
+    BurstClock clk{cycle, end, lastProgress, busyUntil, 0, clampAtEnd};
     SuperRunStatus rs;
     const DecodedInst* finishInst = nullptr;
     if (isHW_) {
-      HwBurstModel m{{cycle, end, lastProgress, busyUntil, 0, clampAtEnd},
-                     fabric_ ? &fabric_->memoryBus() : nullptr,
-                     &localMem_,
-                     prevBlock1_,
-                     prevBlock2_,
-                     pipelinedMode_};
+      HwBurstModel m{clk, hw_};
       rs = state_.runSuper(m);
-      prevBlock1_ = m.prevBlock1;
-      prevBlock2_ = m.prevBlock2;
-      pipelinedMode_ = m.pipelinedMode;
-      cycle = m.clk.cycle;
-      lastProgress = m.clk.lastProgress;
-      busyUntil = m.clk.busyUntil;
-      busyCycles += m.clk.busyCycles;
+      clk = m.clk;
       finishInst = m.finishInst;
     } else {
-      SwBurstModel m{{cycle, end, lastProgress, busyUntil, 0, clampAtEnd}};
+      SwBurstModel m{clk};
       rs = state_.runSuper(m);
-      cycle = m.clk.cycle;
-      lastProgress = m.clk.lastProgress;
-      busyUntil = m.clk.busyUntil;
-      busyCycles += m.clk.busyCycles;
+      clk = m.clk;
       finishInst = m.finishInst;
     }
+    cycle = clk.cycle;
+    lastProgress = clk.lastProgress;
+    busyUntil = clk.busyUntil;
+    busyCycles += clk.busyCycles;
     if (rs == SuperRunStatus::kFinished) {
       dead = true;
       last = {StepStatus::Finished, finishInst->op, finishInst};
@@ -343,7 +345,7 @@ private:
         unsigned c = port_ ? port_->lastCost : 1;
         // In modulo-scheduled steady state a hardware thread overlaps the
         // handshake with compute; only bus contention remains exposed.
-        if (isHW_ && pipelinedMode_ && c >= RuntimeTiming::kQueueOp)
+        if (isHW_ && hw_.pipelinedMode && c >= RuntimeTiming::kQueueOp)
           c -= RuntimeTiming::kQueueOp - 1;
         return c;
       }
@@ -351,52 +353,14 @@ private:
         break;
     }
     if (!isHW_) return d->swCost;
-
     // Hardware: per-block FSM cost charged on the terminator; memory ops
     // dynamically against the memory bus; everything else is covered by the
-    // block's static state count. Blocks re-executing back-to-back run in
-    // modulo-scheduled steady state and cost their initiation interval.
-    switch (r.op) {
-      case Opcode::Load:
-      case Opcode::Store: {
-        unsigned handshake = r.op == Opcode::Load ? RuntimeTiming::kMemRead
-                                                  : RuntimeTiming::kMemWrite;
-        if (pipelinedMode_) handshake = 0;  // overlapped with compute
-        if (fabric_) {
-          // Twill: the single shared memory bus (§4.1).
-          uint64_t grant = fabric_->memoryBus().acquire(now);
-          return (grant - now) + handshake;
-        }
-        // Pure hardware: LegUp's dual-port block memories still bound the
-        // number of accesses per cycle.
-        uint64_t grant = localMem_.acquire(now);
-        return (grant - now) + handshake;
-      }
-      case Opcode::Br:
-      case Opcode::CondBr:
-      case Opcode::Ret: {
-        // Steady state: this block ran within the last two control
-        // transfers (covers self-loops and header/body two-block loops).
-        pipelinedMode_ = (d->blockUid == prevBlock1_ || d->blockUid == prevBlock2_);
-        prevBlock2_ = prevBlock1_;
-        prevBlock1_ = d->blockUid;
-        if (!(d->flags & DecodedInst::kHasSchedule)) return 1;
-        return pipelinedMode_ ? d->hlsII : d->hlsStatic;
-      }
-      case Opcode::Call:
-        pipelinedMode_ = false;
-        prevBlock1_ = prevBlock2_ = kNoBlock;
-        return 1;
-      default:
-        return 0;  // absorbed into the block's static cycles
-    }
+    // block's static state count.
+    if (r.op == Opcode::Load || r.op == Opcode::Store) return hw_.memCost(r.op, now);
+    return hw_.termCost(*d);
   }
 
-  static constexpr uint32_t kNoBlock = 0xFFFFFFFFu;
-  uint32_t prevBlock1_ = kNoBlock;
-  uint32_t prevBlock2_ = kNoBlock;
-  bool pipelinedMode_ = false;
-  PortModel localMem_{2};  // dual-port BRAM for the pure-HW flow
+  HwCostRules hw_;  // hardware threads only
 
   TraceRecorder* trace_ = nullptr;
   TraceRecorder::StrId traceCat_ = TraceRecorder::kNoStr;
@@ -492,8 +456,8 @@ bool runPureLoop(SimThread& t, const SimConfig& cfg, bool& wallBreach) {
 
 }  // namespace
 
-SimProgram::SimProgram(Module& m, const ScheduleMap& schedules) {
-  Memory scratch(Memory::kDefaultSize);
+SimProgram::SimProgram(Module& m, const ScheduleMap& schedules, uint32_t memoryBytes) {
+  Memory scratch(memoryBytes);
   // A module that does not fit leaves `prog` null (and `layout.ok` false);
   // simulateTwill reports the breach instead of decoding a partial layout.
   if (layout.build(m, scratch)) prog = std::make_unique<DecodedProgram>(m, layout, &schedules);

@@ -78,9 +78,13 @@ class DecodedProgram;
 /// Pre-decoded module shared across repeated simulations (parameter sweeps
 /// re-simulate the same extracted module dozens of times; decoding it once
 /// per sweep point is pure waste). The layout is deterministic for a fixed
-/// module, so every run sees identical addresses.
+/// module, so every run sees identical addresses. `memoryBytes` is the
+/// ceiling the layout is checked against; pass the runs' own
+/// SimConfig::memoryBytes, or a module that fits their memory but not the
+/// default one decodes to nothing. `schedules` must outlive the program
+/// (functions decode lazily, on first use).
 struct SimProgram {
-  SimProgram(Module& m, const ScheduleMap& schedules);
+  SimProgram(Module& m, const ScheduleMap& schedules, uint32_t memoryBytes = Memory::kDefaultSize);
   ~SimProgram();
   Layout layout;
   std::unique_ptr<DecodedProgram> prog;

@@ -2,6 +2,10 @@
 // propagation of the public runBenchmark() entry point.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/chstone/kernels.h"
 #include "src/driver/driver.h"
 
 namespace twill {
@@ -112,6 +116,58 @@ TEST(DriverTest, VoidMainRejected) {
     EXPECT_EQ(r.sw.result, r.expected);
     EXPECT_EQ(r.twill.result, r.expected);
   }
+}
+
+// --- resimulateTwill: the one re-simulation path ---------------------------
+
+/// Report JSON without the stage wall times, the only nondeterministic
+/// fields.
+std::string withoutWallTimes(BenchmarkReport rep) {
+  rep.stages = StageTimes{};
+  return reportToJson(rep);
+}
+
+class ResimulateTwillTest : public ::testing::TestWithParam<std::string> {};
+
+// Metamorphic: re-simulating a kept anchor under changed Twill-only sim
+// knobs yields the report a full runBenchmark under those knobs produces.
+TEST_P(ResimulateTwillTest, EqualsAFullRunUnderTheNewSimKnobs) {
+  const KernelInfo* k = findKernel(GetParam());
+  ASSERT_NE(k, nullptr);
+  DriverOptions anchorOpts;
+  anchorOpts.keepTwillArtifacts = true;
+  const BenchmarkReport anchor = runBenchmark(k->name, k->source, anchorOpts);
+  ASSERT_TRUE(anchor.ok) << anchor.error;
+  ASSERT_TRUE(anchor.twillArtifacts && anchor.twillArtifacts->program);
+
+  DriverOptions capacity, latency, processors;
+  capacity.sim.queueCapacity = 2;
+  latency.sim.queueLatency = 8;
+  processors.sim.numProcessors = 2;
+  for (const DriverOptions& opts : {capacity, latency, processors}) {
+    const BenchmarkReport full = runBenchmark(k->name, k->source, opts);
+    EXPECT_EQ(withoutWallTimes(resimulateTwill(anchor, opts)), withoutWallTimes(full))
+        << "capacity " << opts.sim.queueCapacity << ", latency " << opts.sim.queueLatency
+        << ", processors " << opts.sim.numProcessors;
+  }
+}
+
+std::vector<std::string> kernelNames() {
+  std::vector<std::string> names;
+  for (const KernelInfo& k : chstoneKernels()) names.push_back(k.name);
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(Chstone, ResimulateTwillTest, ::testing::ValuesIn(kernelNames()),
+                         [](const auto& info) { return info.param; });
+
+TEST(DriverTest, ResimulateWithoutArtifactsReturnsTheAnchor) {
+  const BenchmarkReport anchor = runBenchmark("tiny", kTinyProgram);
+  ASSERT_TRUE(anchor.ok) << anchor.error;
+  EXPECT_EQ(anchor.twillArtifacts, nullptr);
+  DriverOptions opts;
+  opts.sim.queueCapacity = 2;
+  EXPECT_EQ(reportToJson(resimulateTwill(anchor, opts)), reportToJson(anchor));
 }
 
 }  // namespace

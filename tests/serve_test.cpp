@@ -191,21 +191,45 @@ TEST(ServeTest, RepeatRequestIsAnsweredFromTheResponseCache) {
 }
 
 TEST(ServeTest, SimAxisChangeReusesTheCachedCompile) {
-  TwillService warm{ServiceConfig{}};
-  (void)submitAndFetch(warm, sourceRequest(kQuickProgram));
-  HttpResponse reused = submitAndFetch(
-      warm, sourceRequest(kQuickProgram, "\"sim\": {\"queue_capacity\": 16}"));
-  twill::ServiceStats s = warm.stats();
-  EXPECT_EQ(s.cacheMisses, 1u);
-  EXPECT_EQ(s.cacheArtifactHits, 1u) << "sim-only change should not recompile";
+  // The second case is larger than the default 4 MiB simulated memory and
+  // runs under an 8 MiB ceiling: the cached decode must be laid out under
+  // the request's own ceiling.
+  const std::string big =
+      "int big[1400000];\n"
+      "int main(void) {\n"
+      "  int s = 0;\n"
+      "  for (int i = 0; i < 64; i++) big[i * 1000] = i * 3;\n"
+      "  for (int i = 0; i < 64; i++) s += big[i * 1000] ^ i;\n"
+      "  return s;\n"
+      "}\n";
+  struct Case {
+    std::string source;
+    std::string extra;  // groups shared by both requests
+    unsigned capacity;  // the second request's queue capacity
+  };
+  const Case cases[] = {
+      {kQuickProgram, "", 16},
+      {big, "\"limits\": {\"max_memory_mb\": 8}, ", 4},
+  };
+  for (const Case& c : cases) {
+    const std::string first = sourceRequest(c.source, c.extra + "\"sim\": {\"queue_capacity\": 8}");
+    const std::string second = sourceRequest(
+        c.source, c.extra + "\"sim\": {\"queue_capacity\": " + std::to_string(c.capacity) + "}");
+    TwillService warm{ServiceConfig{}};
+    HttpResponse miss = submitAndFetch(warm, first);
+    ASSERT_EQ(miss.status, 200) << miss.body;
+    HttpResponse reused = submitAndFetch(warm, second);
+    twill::ServiceStats s = warm.stats();
+    EXPECT_EQ(s.cacheMisses, 1u);
+    EXPECT_EQ(s.cacheArtifactHits, 1u) << "sim-only change should not recompile";
 
-  // The reuse path must be invisible in the report: a cold service running
-  // the same request from scratch produces the identical document.
-  TwillService cold{ServiceConfig{}};
-  HttpResponse fresh = submitAndFetch(
-      cold, sourceRequest(kQuickProgram, "\"sim\": {\"queue_capacity\": 16}"));
-  ASSERT_EQ(reused.status, 200) << reused.body;
-  EXPECT_EQ(normalizeWallTimes(reused.body), normalizeWallTimes(fresh.body));
+    // The reuse path must be invisible in the report: a cold service running
+    // the same request from scratch produces the identical document.
+    TwillService cold{ServiceConfig{}};
+    HttpResponse fresh = submitAndFetch(cold, second);
+    ASSERT_EQ(reused.status, 200) << reused.body;
+    EXPECT_EQ(normalizeWallTimes(reused.body), normalizeWallTimes(fresh.body));
+  }
 }
 
 TEST(ServeTest, ByteBudgetEvictsLeastRecentlyUsedEntries) {
