@@ -11,9 +11,11 @@
 #include "src/exec/superblock.h"
 #include "src/frontend/lower.h"
 #include "src/ir/interp.h"
+#include "src/ir/verifier.h"
 #include "src/obs/trace.h"
 #include "src/rt/fabric.h"
 #include "src/transforms/passes.h"
+#include "src/verify/partition_verifier.h"
 
 namespace twill {
 namespace {
@@ -246,6 +248,42 @@ void BM_OptimizeAndExtract(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptimizeAndExtract)->DenseRange(0, 7)->Unit(benchmark::kMillisecond);
+
+// The two verification layers every report runs, each alone on one kernel's
+// extracted module (built once, outside the timed loop; neither verifier
+// changes the module).
+struct ExtractedKernel {
+  Module m;
+  DswpResult dswp;
+  explicit ExtractedKernel(const KernelInfo& k) {
+    DiagEngine diag;
+    compileC(k.source, m, diag);
+    runDefaultPipeline(m);
+    dswp = runDswp(m, DswpConfig{});
+  }
+};
+
+void BM_VerifyModule(benchmark::State& state) {
+  const KernelInfo& k = chstoneKernels()[static_cast<size_t>(state.range(0))];
+  state.SetLabel(k.name);
+  ExtractedKernel x(k);
+  for (auto _ : state) {
+    DiagEngine diag;
+    benchmark::DoNotOptimize(verifyModule(x.m, diag));
+  }
+}
+BENCHMARK(BM_VerifyModule)->DenseRange(0, 7)->Unit(benchmark::kMicrosecond);
+
+void BM_VerifyPartition(benchmark::State& state) {
+  const KernelInfo& k = chstoneKernels()[static_cast<size_t>(state.range(0))];
+  state.SetLabel(k.name);
+  ExtractedKernel x(k);
+  for (auto _ : state) {
+    DiagEngine diag;
+    benchmark::DoNotOptimize(verifyPartition(x.m, x.dswp, diag));
+  }
+}
+BENCHMARK(BM_VerifyPartition)->DenseRange(0, 7)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace twill

@@ -86,14 +86,21 @@ private:
       case 1: return "(~" + expr(depth + 1) + ")";
       case 2: return "(!" + expr(depth + 1) + ")";
       case 3: {
-        // Conditional expression.
-        return "(" + expr(depth + 1) + " ? " + expr(depth + 1) + " : " + expr(depth + 1) + ")";
+        // Conditional expression. Operands are generated right to left, the
+        // order GCC gave the old one-expression `+` chains (the fuzz seeds
+        // pin these programs); naming them fixes it on every compiler.
+        const std::string no = expr(depth + 1);
+        const std::string yes = expr(depth + 1);
+        const std::string cond = expr(depth + 1);
+        return "(" + cond + " ? " + yes + " : " + no + ")";
       }
       case 4:
         if (!funcs_.empty() && callBudget_ > 0) {
           --callBudget_;
           const std::string& f = funcs_[rng_.below(static_cast<uint32_t>(funcs_.size()))];
-          return f + "(" + expr(depth + 1) + ", " + expr(depth + 1) + ")";
+          const std::string second = expr(depth + 1);  // right to left, as above
+          const std::string first = expr(depth + 1);
+          return f + "(" + first + ", " + second + ")";
         }
         [[fallthrough]];
       default: {
@@ -101,7 +108,9 @@ private:
                                            "<<", ">>", "<",  ">",  "<=", ">=", "==",
                                            "!=", "&&", "||"};
         const char* op = kOps[rng_.below(sizeof(kOps) / sizeof(kOps[0]))];
-        return "(" + expr(depth + 1) + " " + op + " " + expr(depth + 1) + ")";
+        const std::string rhs = expr(depth + 1);  // right to left, as above
+        const std::string lhs = expr(depth + 1);
+        return "(" + lhs + " " + op + " " + rhs + ")";
       }
     }
   }
@@ -181,7 +190,10 @@ private:
     // Counted while/do-while: the generator owns the counter (declared here,
     // bumped as the body's last statement, read-only inside the body), so
     // termination stays structural just like stmtFor.
-    const std::string iv = "w" + std::to_string(loopCounter_++);
+    // Appended, not `"w" + to_string(...)`: GCC 12's -Wrestrict misfires on
+    // that operator+ under -D_GLIBCXX_ASSERTIONS.
+    std::string iv = "w";
+    iv += std::to_string(loopCounter_++);
     const unsigned trip = 1 + rng_.below(opts_.maxLoopTrip);
     indent();
     out_ += "int " + iv + " = 0;\n";

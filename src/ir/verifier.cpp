@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "src/ir/id_lease.h"
 #include "src/ir/printer.h"
 
 namespace twill {
@@ -17,67 +17,82 @@ namespace {
 // Small self-contained dominance computation (iterative bitvector dataflow
 // over reverse-postorder). The verifier deliberately does not depend on the
 // analysis library it is used to validate.
+//
+// Blocks are addressed by leased ids (their position in the function); the
+// relation is a word-packed bit matrix over RPO indices, row b holding the
+// dominators of b, with each block's reachable predecessors resolved to RPO
+// indices once.
 class SimpleDominance {
 public:
-  explicit SimpleDominance(Function& f) {
-    std::vector<BasicBlock*> rpo = reversePostOrder(f);
-    std::unordered_map<BasicBlock*, size_t> idx;
-    for (size_t i = 0; i < rpo.size(); ++i) idx[rpo[i]] = i;
-    size_t n = rpo.size();
-    // dom[i] = set of blocks dominating rpo[i], as bitvector.
-    std::vector<std::vector<bool>> dom(n, std::vector<bool>(n, true));
+  /// `blocks` leases every block of `f` in layout order.
+  SimpleDominance(Function& f, const IdLease<BasicBlock>& blocks)
+      : blocks_(blocks), rpoIndex_(blocks.size(), -1) {
+    const std::vector<unsigned> rpo = reversePostOrder(f);
+    const size_t n = rpo.size();
+    for (size_t i = 0; i < n; ++i) rpoIndex_[rpo[i]] = static_cast<int>(i);
+    std::vector<unsigned> predStart{0}, preds;
+    for (unsigned id : rpo) {
+      for (BasicBlock* p : blocks.node(id)->predecessors()) {
+        const int pi = rpoIndex(p);
+        if (pi >= 0) preds.push_back(static_cast<unsigned>(pi));  // skip unreachable
+      }
+      predStart.push_back(static_cast<unsigned>(preds.size()));
+    }
+
+    words_ = (n + 63) / 64;
+    bits_.assign(n * words_, ~uint64_t{0});
     if (n == 0) return;
-    std::fill(dom[0].begin(), dom[0].end(), false);
-    dom[0][0] = true;
+    std::fill(row(0), row(0) + words_, 0);
+    row(0)[0] = 1;
+    std::vector<uint64_t> in(words_);
     bool changed = true;
     while (changed) {
       changed = false;
       for (size_t i = 1; i < n; ++i) {
-        std::vector<bool> in(n, true);
-        bool any = false;
-        for (BasicBlock* p : rpo[i]->predecessors()) {
-          auto it = idx.find(p);
-          if (it == idx.end()) continue;  // unreachable predecessor
-          any = true;
-          for (size_t k = 0; k < n; ++k) in[k] = in[k] && dom[it->second][k];
+        std::fill(in.begin(), in.end(), predStart[i] == predStart[i + 1] ? 0 : ~uint64_t{0});
+        for (unsigned k = predStart[i]; k < predStart[i + 1]; ++k) {
+          const uint64_t* p = row(preds[k]);
+          for (size_t w = 0; w < words_; ++w) in[w] &= p[w];
         }
-        if (!any) std::fill(in.begin(), in.end(), false);
-        in[i] = true;
-        if (in != dom[i]) {
-          dom[i] = std::move(in);
+        in[i / 64] |= uint64_t{1} << (i % 64);
+        if (!std::equal(in.begin(), in.end(), row(i))) {
+          std::copy(in.begin(), in.end(), row(i));
           changed = true;
         }
       }
     }
-    for (size_t i = 0; i < n; ++i)
-      for (size_t k = 0; k < n; ++k)
-        if (dom[i][k]) dominators_[rpo[i]].insert(rpo[k]);
-    for (BasicBlock* bb : rpo) reachable_.insert(bb);
   }
 
-  bool reachable(BasicBlock* bb) const { return reachable_.count(bb) != 0; }
+  bool reachable(BasicBlock* bb) const { return rpoIndex(bb) >= 0; }
 
   /// True if `a` dominates `b` (both must be reachable).
   bool dominates(BasicBlock* a, BasicBlock* b) const {
-    auto it = dominators_.find(b);
-    return it != dominators_.end() && it->second.count(a) != 0;
+    const int ia = rpoIndex(a);
+    const int ib = rpoIndex(b);
+    if (ia < 0 || ib < 0) return false;
+    return (row(static_cast<size_t>(ib))[ia / 64] >> (ia % 64)) & 1;
   }
 
-  static std::vector<BasicBlock*> reversePostOrder(Function& f) {
-    std::vector<BasicBlock*> post;
-    std::unordered_set<BasicBlock*> seen;
+private:
+  /// Leased ids of the blocks reachable from the entry, in reverse postorder.
+  std::vector<unsigned> reversePostOrder(Function& f) const {
+    std::vector<unsigned> post;
+    std::vector<char> seen(blocks_.size(), 0);
     if (!f.entry()) return post;
     // Iterative DFS.
-    std::vector<std::pair<BasicBlock*, size_t>> stack{{f.entry(), 0}};
-    seen.insert(f.entry());
+    std::vector<std::pair<BasicBlock*, unsigned>> stack{{f.entry(), 0}};
+    seen[f.entry()->id()] = 1;
     while (!stack.empty()) {
       auto& [bb, i] = stack.back();
-      auto succs = bb->successors();
-      if (i < succs.size()) {
-        BasicBlock* s = succs[i++];
-        if (seen.insert(s).second) stack.push_back({s, 0});
+      Instruction* term = bb->terminator();
+      if (term && i < term->numSuccessors()) {
+        BasicBlock* s = term->successor(i++);
+        if (!seen[s->id()]) {
+          seen[s->id()] = 1;
+          stack.push_back({s, 0});
+        }
       } else {
-        post.push_back(bb);
+        post.push_back(bb->id());
         stack.pop_back();
       }
     }
@@ -85,9 +100,16 @@ public:
     return post;
   }
 
-private:
-  std::unordered_map<BasicBlock*, std::unordered_set<BasicBlock*>> dominators_;
-  std::unordered_set<BasicBlock*> reachable_;
+  /// RPO index of `bb`, or -1 when it is unreachable or not in the function.
+  int rpoIndex(BasicBlock* bb) const { return blocks_.holds(bb) ? rpoIndex_[bb->id()] : -1; }
+
+  uint64_t* row(size_t i) { return bits_.data() + i * words_; }
+  const uint64_t* row(size_t i) const { return bits_.data() + i * words_; }
+
+  const IdLease<BasicBlock>& blocks_;
+  std::vector<int> rpoIndex_;  // leased block id -> RPO index, -1 if unreachable
+  size_t words_ = 0;
+  std::vector<uint64_t> bits_;  // row-major, one row of `words_` per RPO index
 };
 
 class FunctionVerifier {
@@ -101,7 +123,9 @@ public:
     }
     checkStructure();
     if (!ok_) return false;  // dominance checks assume structural sanity
-    SimpleDominance dom(f_);
+    IdLease<BasicBlock> blocks;
+    for (auto& bb : f_.blocks()) blocks.lease(bb);
+    SimpleDominance dom(f_, blocks);
     checkSSA(dom);
     checkPhis(dom);
     return ok_;
@@ -114,8 +138,6 @@ private:
   }
 
   void checkStructure() {
-    std::unordered_set<BasicBlock*> blockSet;
-    for (auto& bb : f_.blocks()) blockSet.insert(bb);
     if (!f_.entry()->predecessors().empty())
       error("entry block has predecessors");
     for (auto& bb : f_.blocks()) {
@@ -142,7 +164,7 @@ private:
             continue;
           }
           if (auto* tb = dyn_cast<BasicBlock>(op)) {
-            if (!blockSet.count(tb))
+            if (tb->parent() != &f_)  // erased blocks lose their parent
               error("branch to block of another function in %" + bb->name());
             if (!inst->isTerminator())
               error("non-terminator references a block in %" + bb->name());
@@ -231,37 +253,43 @@ private:
   }
 
   void checkSSA(const SimpleDominance& dom) {
-    for (auto& bb : f_.blocks()) {
-      if (!dom.reachable(bb)) continue;
-      for (auto& instPtr : *bb) {
-        Instruction* inst = instPtr;
-        if (inst->isPhi()) continue;  // phi uses checked on edges
-        for (unsigned i = 0; i < inst->numOperands(); ++i) {
-          auto* def = dyn_cast<Instruction>(inst->operand(i));
-          if (!def) continue;
-          if (!dominatesUse(def, inst, dom))
-            error("use of " + printValueRef(def) + " in " + printInstruction(inst) +
-                  " is not dominated by its definition");
+    // Instruction ids double as layout positions for the same-block order
+    // test, but unnamed values print by id: collect the violations under the
+    // lease and report them once the caller's ids are back.
+    std::vector<std::pair<Instruction*, Instruction*>> bad;  // (def, use)
+    {
+      IdLease<Instruction> positions;
+      for (auto& bb : f_.blocks())
+        for (auto& inst : *bb) positions.lease(inst);
+      for (auto& bb : f_.blocks()) {
+        if (!dom.reachable(bb)) continue;
+        for (auto& instPtr : *bb) {
+          Instruction* inst = instPtr;
+          if (inst->isPhi()) continue;  // phi uses checked on edges
+          for (unsigned i = 0; i < inst->numOperands(); ++i) {
+            auto* def = dyn_cast<Instruction>(inst->operand(i));
+            if (def && !dominatesUse(def, inst, dom)) bad.push_back({def, inst});
+          }
         }
       }
     }
+    for (const auto& [def, inst] : bad)
+      error("use of " + printValueRef(def) + " in " + printInstruction(inst) +
+            " is not dominated by its definition");
   }
 
-  bool dominatesUse(Instruction* def, Instruction* use, const SimpleDominance& dom) {
+  /// Needs the instruction ids leased as layout positions (see checkSSA).
+  static bool dominatesUse(Instruction* def, Instruction* use, const SimpleDominance& dom) {
     BasicBlock* db = def->parent();
     BasicBlock* ub = use->parent();
     if (db != ub) return dom.dominates(db, ub);
-    // Same block: def must come first.
-    for (auto& i : *db) {
-      if (i == def) return true;
-      if (i == use) return false;
-    }
-    return false;
+    return def->id() <= use->id();  // same block: def must come first
   }
 
   void checkPhis(const SimpleDominance& dom) {
     for (auto& bb : f_.blocks()) {
       if (!dom.reachable(bb)) continue;
+      if (!bb->front()->isPhi()) continue;
       auto preds = bb->predecessors();
       for (auto& instPtr : *bb) {
         Instruction* inst = instPtr;

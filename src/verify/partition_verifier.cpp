@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <climits>
-#include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -14,6 +12,7 @@
 #include "src/analysis/cfg.h"
 #include "src/analysis/domtree.h"
 #include "src/analysis/loopinfo.h"
+#include "src/ir/id_lease.h"
 
 namespace twill {
 namespace {
@@ -41,54 +40,109 @@ std::string semDesc(const SemaphoreInfo* sem, int id) {
   return s;
 }
 
-/// Everything the three analyses need, gathered in one scan of the module:
-/// produce/consume/raise/lower sites keyed by id, the info tables keyed by
-/// id, and the thread structure.
-struct ModuleIndex {
-  std::map<int, std::vector<Site>> produces, consumes, raises, lowers;
-  std::unordered_map<int, const ChannelInfo*> channelById;
-  std::unordered_map<int, const SemaphoreInfo*> semById;
-  std::unordered_set<Function*> slaveFns;
-  std::unordered_map<Function*, std::string> threadName;  // thread root -> origin
+/// Dense slots for the channel (or semaphore) ids of one module: the
+/// DswpResult table's ids first, in table order, then ids only sites name.
+/// Each slot holds its table entry (null for an unknown id) and its sites,
+/// produce/consume or raise/lower, in module order.
+template <class Info>
+struct IdSlots {
+  std::unordered_map<int, unsigned> slotOf;
+  std::vector<const Info*> info;
+  std::vector<std::vector<Site>> adds, takes;
+
+  size_t size() const { return info.size(); }
+  unsigned slot(int key) {
+    auto [it, fresh] = slotOf.try_emplace(key, static_cast<unsigned>(info.size()));
+    if (fresh) {
+      info.push_back(nullptr);
+      adds.emplace_back();
+      takes.emplace_back();
+    }
+    return it->second;
+  }
+  /// Slot of `key`, or -1 when neither the table nor any site names it.
+  int find(int key) const {
+    auto it = slotOf.find(key);
+    return it == slotOf.end() ? -1 : static_cast<int>(it->second);
+  }
 };
 
-ModuleIndex buildIndex(Module& m, const DswpResult& dswp, DiagEngine& diag) {
-  ModuleIndex idx;
-  for (const auto& ch : dswp.channels) idx.channelById[ch.id] = &ch;
-  for (const auto& sem : dswp.semaphores) idx.semById[sem.id] = &sem;
-  for (const auto& t : dswp.threads) {
-    idx.threadName[t.fn] = t.origin;
-    if (t.isSlave) idx.slaveFns.insert(t.fn);
+/// Everything the three analyses need, gathered in one scan of the module:
+/// channel and semaphore slots with their sites, the thread structure, and
+/// dense ids. For the index's lifetime every instruction holds a
+/// module-wide leased id and every block one that is dense per function
+/// (a function's blocks are contiguous from its entry's id).
+struct ModuleIndex {
+  IdSlots<ChannelInfo> chans;
+  IdSlots<SemaphoreInfo> sems;
+  std::unordered_set<Function*> slaveFns;
+  std::unordered_map<Function*, std::string> threadName;  // thread root -> origin
+  // Function slots: the module's functions in order, then any other
+  // function a thread or call names (including a null callee).
+  std::unordered_map<Function*, unsigned> fnSlotOf;
+  std::vector<char> fnInModule;  // by function slot
+  // By leased instruction id: the owning function's slot, and the operand
+  // slot of ops the startup game resolves (channel, semaphore, callee).
+  std::vector<unsigned> instFn, instSlot;
+  IdLease<Instruction> insts;
+  IdLease<BasicBlock> blocks;
+
+  ModuleIndex(Module& m, const DswpResult& dswp, DiagEngine& diag);
+
+  unsigned fnSlot(Function* f) {
+    auto [it, fresh] = fnSlotOf.try_emplace(f, static_cast<unsigned>(fnInModule.size()));
+    if (fresh) fnInModule.push_back(0);
+    return it->second;
   }
+};
+
+ModuleIndex::ModuleIndex(Module& m, const DswpResult& dswp, DiagEngine& diag) {
+  for (const auto& ch : dswp.channels) chans.info[chans.slot(ch.id)] = &ch;
+  for (const auto& sem : dswp.semaphores) sems.info[sems.slot(sem.id)] = &sem;
+  for (const auto& t : dswp.threads) {
+    threadName[t.fn] = t.origin;
+    if (t.isSlave) slaveFns.insert(t.fn);
+  }
+  for (auto& f : m.functions()) fnInModule[fnSlot(f)] = 1;
   for (auto& f : m.functions()) {
+    const unsigned fs = fnSlot(f);
     for (auto& bb : f->blocks()) {
+      blocks.lease(bb);
       for (auto& inst : *bb) {
+        insts.lease(inst);
+        instFn.push_back(fs);
+        unsigned slot = 0;
         const int id = inst->channel();
         switch (inst->op()) {
           case Opcode::Produce:
           case Opcode::Consume: {
-            auto& sites = inst->op() == Opcode::Produce ? idx.produces : idx.consumes;
-            sites[id].push_back({f, inst});
-            if (!idx.channelById.count(id))
+            slot = chans.slot(id);
+            auto& sites = inst->op() == Opcode::Produce ? chans.adds : chans.takes;
+            sites[slot].push_back({f, inst});
+            if (!chans.info[slot])
               diag.error({}, at(inst) + ": " + opcodeName(inst->op()) +
                                  " references unknown channel " + std::to_string(id));
             break;
           }
           case Opcode::SemRaise:
           case Opcode::SemLower: {
-            auto& sites = inst->op() == Opcode::SemRaise ? idx.raises : idx.lowers;
-            sites[id].push_back({f, inst});
-            if (!idx.semById.count(id))
+            slot = sems.slot(id);
+            auto& sites = inst->op() == Opcode::SemRaise ? sems.adds : sems.takes;
+            sites[slot].push_back({f, inst});
+            if (!sems.info[slot])
               diag.error({}, at(inst) + ": " + opcodeName(inst->op()) +
                                  " references unknown semaphore " + std::to_string(id));
             break;
           }
+          case Opcode::Call: slot = fnSlot(inst->callee()); break;
           default: break;
         }
+        instSlot.push_back(slot);
       }
     }
   }
-  return idx;
+  for (const auto& t : dswp.threads) fnSlot(t.fn);
+  fnSlot(dswp.mainMaster);
 }
 
 // ---------------------------------------------------------------------------
@@ -101,13 +155,23 @@ ModuleIndex buildIndex(Module& m, const DswpResult& dswp, DiagEngine& diag) {
 // always from the same static function.
 // ---------------------------------------------------------------------------
 
-std::set<Function*> siteFns(const std::vector<Site>& sites) {
-  std::set<Function*> fns;
-  for (const Site& s : sites) fns.insert(s.fn);
+/// Distinct functions among `sites`, in module order (sites are gathered in
+/// one module-order scan, so first appearance is module order).
+std::vector<Function*> siteFns(const std::vector<Site>& sites) {
+  std::vector<Function*> fns;
+  for (const Site& s : sites)
+    if (std::find(fns.begin(), fns.end(), s.fn) == fns.end()) fns.push_back(s.fn);
   return fns;
 }
 
-std::string fnList(const std::set<Function*>& fns) {
+/// The one function all `sites` belong to, or null when there are several.
+Function* soleFn(const std::vector<Site>& sites) {
+  for (const Site& s : sites)
+    if (s.fn != sites.front().fn) return nullptr;
+  return sites.front().fn;
+}
+
+std::string fnList(const std::vector<Function*>& fns) {
   std::string out;
   for (Function* f : fns) {
     if (!out.empty()) out += ", ";
@@ -116,53 +180,56 @@ std::string fnList(const std::set<Function*>& fns) {
   return out;
 }
 
-/// Channels that pass the endpoint rules, mapped to their unique
-/// (producer, consumer) pair; only these are worth balance-checking.
-std::map<int, std::pair<Function*, Function*>> checkEndpoints(const ModuleIndex& idx,
-                                                              const DswpResult& dswp,
-                                                              DiagEngine& diag) {
-  std::map<int, std::pair<Function*, Function*>> clean;
+/// A channel that passes the endpoint rules, with its unique (producer,
+/// consumer) pair; only these are worth balance-checking.
+struct CleanChannel {
+  unsigned slot = 0;
+  Function* producer = nullptr;
+  Function* consumer = nullptr;
+};
+
+/// Clean channels keyed (and so balance-checked) by channel id.
+std::map<int, CleanChannel> checkEndpoints(const ModuleIndex& idx, const DswpResult& dswp,
+                                           DiagEngine& diag) {
+  std::map<int, CleanChannel> clean;
   for (const auto& ch : dswp.channels) {
-    auto pi = idx.produces.find(ch.id);
-    auto ci = idx.consumes.find(ch.id);
-    const bool hasProd = pi != idx.produces.end() && !pi->second.empty();
-    const bool hasCons = ci != idx.consumes.end() && !ci->second.empty();
-    if (!hasProd && !hasCons) {
+    const unsigned slot = idx.chans.slotOf.at(ch.id);
+    const std::vector<Site>& prods = idx.chans.adds[slot];
+    const std::vector<Site>& conss = idx.chans.takes[slot];
+    if (prods.empty() && conss.empty()) {
       diag.warning({}, channelDesc(&ch, ch.id) + " has no produce or consume sites");
       continue;
     }
-    if (!hasProd) {
-      diag.error({}, at(ci->second.front().inst) + ": consumes " + channelDesc(&ch, ch.id) +
+    if (prods.empty()) {
+      diag.error({}, at(conss.front().inst) + ": consumes " + channelDesc(&ch, ch.id) +
                          " which no function produces; the consume can never unblock");
       continue;
     }
-    if (!hasCons) {
-      diag.error({}, at(pi->second.front().inst) + ": produces " + channelDesc(&ch, ch.id) +
+    if (conss.empty()) {
+      diag.error({}, at(prods.front().inst) + ": produces " + channelDesc(&ch, ch.id) +
                          " which no function consumes; the queue fills and the produce blocks");
       continue;
     }
-    std::set<Function*> prodFns = siteFns(pi->second);
-    std::set<Function*> consFns = siteFns(ci->second);
-    bool ok = true;
-    if (prodFns.size() > 1) {
-      diag.error({}, channelDesc(&ch, ch.id) + " is produced by " +
-                         std::to_string(prodFns.size()) + " functions (" + fnList(prodFns) +
-                         "); DSWP queues are point-to-point");
-      ok = false;
+    Function* producer = soleFn(prods);
+    Function* consumer = soleFn(conss);
+    if (!producer) {
+      const std::vector<Function*> fns = siteFns(prods);
+      diag.error({}, channelDesc(&ch, ch.id) + " is produced by " + std::to_string(fns.size()) +
+                         " functions (" + fnList(fns) + "); DSWP queues are point-to-point");
     }
-    if (consFns.size() > 1) {
-      diag.error({}, channelDesc(&ch, ch.id) + " is consumed by " +
-                         std::to_string(consFns.size()) + " functions (" + fnList(consFns) +
-                         "); DSWP queues are point-to-point");
-      ok = false;
+    if (!consumer) {
+      const std::vector<Function*> fns = siteFns(conss);
+      diag.error({}, channelDesc(&ch, ch.id) + " is consumed by " + std::to_string(fns.size()) +
+                         " functions (" + fnList(fns) + "); DSWP queues are point-to-point");
     }
-    if (ok && *prodFns.begin() == *consFns.begin()) {
-      diag.error({}, "[" + (*prodFns.begin())->name() + "] both produces and consumes " +
+    if (!producer || !consumer) continue;
+    if (producer == consumer) {
+      diag.error({}, "[" + producer->name() + "] both produces and consumes " +
                          channelDesc(&ch, ch.id) +
                          "; a queue endpoint pair must span two threads");
-      ok = false;
+      continue;
     }
-    if (ok) clean[ch.id] = {*prodFns.begin(), *consFns.begin()};
+    clean[ch.id] = {slot, producer, consumer};
   }
   return clean;
 }
@@ -178,7 +245,14 @@ std::map<int, std::pair<Function*, Function*>> checkEndpoints(const ModuleIndex&
 // extractor's ".p<N>" suffix stripped (control replication clones blocks
 // under the same base name, and cleanup keeps header names because headers
 // retain >= 2 predecessors for as long as the loop exists).
+//
+// A loop's relative chain is named by the "/"-joined base names of its
+// headers, outermost first (the empty name is the region itself). Names are
+// interned module-wide, so matching a producer's loop with a consumer's is
+// an integer compare; each function's context is computed once.
 // ---------------------------------------------------------------------------
+
+constexpr int kRegionKey = 0;  // interned id of the empty chain name
 
 struct FnLoops {
   Function* fn = nullptr;
@@ -187,6 +261,26 @@ struct FnLoops {
   Loop* dispatch = nullptr;  // slaves only; null when not found
   bool isSlave = false;
   std::vector<BasicBlock*> rets;  // blocks ending in Ret
+  unsigned blockBase = 0;         // leased id of the entry block
+  // By block (leased id - blockBase):
+  //  * its innermost loop (null outside any);
+  //  * the chain key of that loop (kRegionKey outside any, or for the
+  //    dispatch loop), or -1 when the block has no per-invocation chain (a
+  //    slave block outside its dispatch loop);
+  //  * whether it runs once per iteration of its region: 1/0 once
+  //    unconditional() has been asked, -1 before.
+  std::vector<Loop*> blockLoop;
+  std::vector<int> blockKey;
+  mutable std::vector<signed char> blockUncond;
+  /// By interned key: how many distinct relative loops carry it (a
+  /// duplicated key cannot be matched unambiguously); absent = 0.
+  std::vector<int> keyCount;
+
+  unsigned local(const BasicBlock* bb) const { return bb->id() - blockBase; }
+  int keyMultiplicity(int key) const {
+    return static_cast<size_t>(key) < keyCount.size() ? keyCount[key] : 0;
+  }
+  bool unconditional(BasicBlock* bb) const;
 };
 
 std::string stripPartitionSuffix(const std::string& name) {
@@ -196,43 +290,6 @@ std::string stripPartitionSuffix(const std::string& name) {
     if (!std::isdigit(static_cast<unsigned char>(name[i]))) return name;
   return name.substr(0, pos);
 }
-
-class LoopContextCache {
-public:
-  LoopContextCache(const ModuleIndex& idx) : idx_(idx) {}
-
-  const FnLoops& get(Function* f) {
-    auto it = cache_.find(f);
-    if (it != cache_.end()) return *it->second;
-    auto fl = std::make_unique<FnLoops>();
-    fl->fn = f;
-    fl->dom.build(*f, /*postDom=*/false);
-    fl->loops.build(*f, fl->dom);
-    fl->isSlave = idx_.slaveFns.count(f) != 0;
-    for (auto& bb : f->blocks()) {
-      Instruction* term = bb->terminator();
-      if (term && term->op() == Opcode::Ret) fl->rets.push_back(bb);
-      if (!fl->isSlave || fl->dispatch) continue;
-      for (auto& inst : *bb) {
-        if (inst->op() != Opcode::Consume) continue;
-        auto ci = idx_.channelById.find(inst->channel());
-        if (ci == idx_.channelById.end() || ci->second->purpose != ChannelInfo::Purpose::Start)
-          continue;
-        Loop* l = fl->loops.loopFor(bb);
-        while (l && l->parent) l = l->parent;
-        fl->dispatch = l;
-        break;
-      }
-    }
-    const FnLoops& ref = *fl;
-    cache_[f] = std::move(fl);
-    return ref;
-  }
-
-private:
-  const ModuleIndex& idx_;
-  std::unordered_map<Function*, std::unique_ptr<FnLoops>> cache_;
-};
 
 /// Loops enclosing `l` from outermost to innermost (inclusive), relative to
 /// the function's per-invocation region. Returns false when the chain cannot
@@ -253,12 +310,6 @@ bool loopChain(const FnLoops& fl, Loop* l, std::vector<Loop*>& out) {
   return true;
 }
 
-bool blockChain(const FnLoops& fl, BasicBlock* bb, std::vector<Loop*>& out) {
-  Loop* l = fl.loops.loopFor(bb);
-  if (!l && fl.isSlave) return false;  // outside the dispatch loop entirely
-  return loopChain(fl, l, out);
-}
-
 std::string chainKey(const std::vector<Loop*>& chain) {
   std::string key;
   for (Loop* l : chain) {
@@ -270,24 +321,93 @@ std::string chainKey(const std::vector<Loop*>& chain) {
 
 /// True when `bb` executes exactly once per iteration of its region: inside
 /// a loop, it must dominate every latch (each completed iteration passes
-/// it); at region level it must dominate every region exit.
-bool unconditionalInRegion(const FnLoops& fl, BasicBlock* bb, const std::vector<Loop*>& chain) {
-  if (!chain.empty()) {
-    Loop* inner = chain.back();
-    for (BasicBlock* latch : inner->latches())
-      if (!fl.dom.dominates(bb, latch)) return false;
+/// it); at region level it must dominate every region exit. `bb` must have a
+/// chain (blockKey >= 0).
+bool FnLoops::unconditional(BasicBlock* bb) const {
+  signed char& known = blockUncond[local(bb)];
+  if (known >= 0) return known;
+  auto dominatesAll = [&](const std::vector<BasicBlock*>& exits) {
+    for (BasicBlock* e : exits)
+      if (!dom.dominates(bb, e)) return false;
     return true;
-  }
-  if (fl.isSlave) {
-    if (!fl.dispatch) return false;
-    for (BasicBlock* latch : fl.dispatch->latches())
-      if (!fl.dom.dominates(bb, latch)) return false;
-    return true;
-  }
-  for (BasicBlock* ret : fl.rets)
-    if (!fl.dom.dominates(bb, ret)) return false;
-  return !fl.rets.empty();
+  };
+  Loop* inner = blockLoop[local(bb)];
+  if (inner && inner != dispatch)
+    known = dominatesAll(inner->latches());
+  else if (isSlave)
+    known = dispatch && dominatesAll(dispatch->latches());
+  else
+    known = !rets.empty() && dominatesAll(rets);
+  return known;
 }
+
+class LoopContextCache {
+public:
+  explicit LoopContextCache(const ModuleIndex& idx) : idx_(idx) { intern(""); }
+
+  const FnLoops& get(Function* f) {
+    auto it = cache_.find(f);
+    if (it != cache_.end()) return *it->second;
+    auto fl = std::make_unique<FnLoops>();
+    fl->fn = f;
+    fl->dom.build(*f, /*postDom=*/false);
+    fl->loops.build(*f, fl->dom);
+    fl->isSlave = idx_.slaveFns.count(f) != 0;
+    for (auto& bb : f->blocks()) {
+      Instruction* term = bb->terminator();
+      if (term && term->op() == Opcode::Ret) fl->rets.push_back(bb);
+      if (!fl->isSlave || fl->dispatch) continue;
+      for (auto& inst : *bb) {
+        if (inst->op() != Opcode::Consume) continue;
+        const int slot = idx_.chans.find(inst->channel());
+        const ChannelInfo* ch = slot < 0 ? nullptr : idx_.chans.info[slot];
+        if (!ch || ch->purpose != ChannelInfo::Purpose::Start) continue;
+        Loop* l = fl->loops.loopFor(bb);
+        while (l && l->parent) l = l->parent;
+        fl->dispatch = l;
+        break;
+      }
+    }
+
+    // Chain key per loop (kRegionKey for the dispatch loop, whose chain is
+    // empty; -1 when not relative), counted for every loop but dispatch.
+    std::unordered_map<const Loop*, int> loopKey;
+    std::vector<Loop*> chain;
+    for (const auto& l : fl->loops.loops()) {
+      int key = -1;
+      if (loopChain(*fl, l.get(), chain)) key = intern(chainKey(chain));
+      loopKey[l.get()] = key;
+      if (key < 0 || l.get() == fl->dispatch) continue;
+      if (fl->keyCount.size() <= static_cast<size_t>(key)) fl->keyCount.resize(key + 1, 0);
+      ++fl->keyCount[key];
+    }
+    fl->blockBase = f->entry() ? f->entry()->id() : 0;
+    for (auto& bb : f->blocks()) {
+      Loop* l = fl->loops.loopFor(bb);
+      fl->blockLoop.push_back(l);
+      fl->blockKey.push_back(l ? loopKey.at(l) : fl->isSlave ? -1 : kRegionKey);
+    }
+    fl->blockUncond.assign(fl->blockKey.size(), -1);
+
+    const FnLoops& ref = *fl;
+    cache_[f] = std::move(fl);
+    return ref;
+  }
+
+  const std::string& keyName(int key) const { return names_[key]; }
+
+private:
+  int intern(const std::string& name) {
+    auto [it, fresh] = ids_.try_emplace(name, static_cast<int>(names_.size()));
+    if (fresh) names_.push_back(name);
+    return it->second;
+  }
+
+  const ModuleIndex& idx_;
+  std::unordered_map<Function*, std::unique_ptr<FnLoops>> cache_;
+  std::unordered_map<std::string, int> ids_;
+  std::vector<std::string> names_;
+};
 
 // ---------------------------------------------------------------------------
 // (b1) Channel token balance.
@@ -308,91 +428,87 @@ struct Delta {
 };
 
 struct SideDeltas {
-  std::map<std::string, Delta> byKey;
+  std::vector<std::pair<int, Delta>> byKey;  // few keys per channel
   bool analyzable = true;
+
+  Delta* find(int key) {
+    for (auto& [k, d] : byKey)
+      if (k == key) return &d;
+    return nullptr;
+  }
 };
 
 SideDeltas collectDeltas(const FnLoops& fl, const std::vector<Site>& sites) {
   SideDeltas side;
   for (const Site& s : sites) {
     if (s.fn != fl.fn) continue;
-    std::vector<Loop*> chain;
-    if (!blockChain(fl, s.inst->parent(), chain)) {
+    BasicBlock* bb = s.inst->parent();
+    const int key = fl.blockKey[fl.local(bb)];
+    if (key < 0) {
       side.analyzable = false;
       return side;
     }
-    Delta& d = side.byKey[chainKey(chain)];
-    if (!d.site) d.site = s.inst;
-    if (unconditionalInRegion(fl, s.inst->parent(), chain))
-      d.count += 1;
+    Delta* d = side.find(key);
+    if (!d) d = &side.byKey.emplace_back(key, Delta{}).second;
+    if (!d->site) d->site = s.inst;
+    if (fl.unconditional(bb))
+      d->count += 1;
     else
-      d.varies = true;
+      d->varies = true;
   }
   return side;
 }
 
-/// Relative-loop keys of a function mapped to how many distinct loops carry
-/// each key (a duplicated key cannot be matched unambiguously).
-std::map<std::string, int> relativeLoopKeys(const FnLoops& fl) {
-  std::map<std::string, int> keys;
-  for (const auto& l : fl.loops.loops()) {
-    if (l.get() == fl.dispatch) continue;
-    std::vector<Loop*> chain;
-    if (!loopChain(fl, l.get(), chain)) continue;
-    ++keys[chainKey(chain)];
-  }
-  return keys;
-}
-
-void checkChannelBalance(const std::map<int, std::pair<Function*, Function*>>& endpoints,
-                         const ModuleIndex& idx, LoopContextCache& ctx, DiagEngine& diag) {
-  for (const auto& [id, pc] : endpoints) {
-    const ChannelInfo* info = idx.channelById.at(id);
-    const FnLoops& flP = ctx.get(pc.first);
-    const FnLoops& flC = ctx.get(pc.second);
-    SideDeltas dp = collectDeltas(flP, idx.produces.at(id));
-    SideDeltas dc = collectDeltas(flC, idx.consumes.at(id));
+void checkChannelBalance(const std::map<int, CleanChannel>& endpoints, const ModuleIndex& idx,
+                         LoopContextCache& ctx, DiagEngine& diag) {
+  std::vector<int> keys;
+  for (const auto& [id, ep] : endpoints) {
+    const ChannelInfo* info = idx.chans.info[ep.slot];
+    const FnLoops& flP = ctx.get(ep.producer);
+    const FnLoops& flC = ctx.get(ep.consumer);
+    SideDeltas dp = collectDeltas(flP, idx.chans.adds[ep.slot]);
+    SideDeltas dc = collectDeltas(flC, idx.chans.takes[ep.slot]);
     if (!dp.analyzable || !dc.analyzable) continue;
-    std::map<std::string, int> keysP = relativeLoopKeys(flP);
-    std::map<std::string, int> keysC = relativeLoopKeys(flC);
 
     // The region-level (straight-line) totals are comparable only when every
     // loop-resident site on both sides lives in a loop the other partition
     // also has: per-partition cleanup can dissolve a statically-trivial loop
     // on one side only, and then the sides' counting frames differ.
     bool regionsComparable = true;
-    for (const auto& [key, d] : dp.byKey) {
-      (void)d;
-      if (!key.empty() && !keysC.count(key)) regionsComparable = false;
-    }
-    for (const auto& [key, d] : dc.byKey) {
-      (void)d;
-      if (!key.empty() && !keysP.count(key)) regionsComparable = false;
-    }
+    for (const auto& [key, d] : dp.byKey)
+      if (key != kRegionKey && !flC.keyMultiplicity(key)) regionsComparable = false;
+    for (const auto& [key, d] : dc.byKey)
+      if (key != kRegionKey && !flP.keyMultiplicity(key)) regionsComparable = false;
 
-    std::set<std::string> keys;
-    for (const auto& [key, d] : dp.byKey) (void)d, keys.insert(key);
-    for (const auto& [key, d] : dc.byKey) (void)d, keys.insert(key);
-    keys.insert("");
-    for (const std::string& key : keys) {
-      if (key.empty()) {
+    // Report in key-name order.
+    keys.assign(1, kRegionKey);
+    for (const auto& [key, d] : dp.byKey) keys.push_back(key);
+    for (const auto& [key, d] : dc.byKey) keys.push_back(key);
+    std::sort(keys.begin(), keys.end(),
+              [&](int a, int b) { return ctx.keyName(a) < ctx.keyName(b); });
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    for (int key : keys) {
+      if (key == kRegionKey) {
         if (!regionsComparable) continue;
       } else {
-        auto kp = keysP.find(key);
-        auto kc = keysC.find(key);
-        if (kp == keysP.end() || kc == keysC.end()) continue;  // unmatched loop
-        if (kp->second > 1 || kc->second > 1) continue;        // ambiguous name
+        const int kp = flP.keyMultiplicity(key);
+        const int kc = flC.keyMultiplicity(key);
+        if (!kp || !kc) continue;        // unmatched loop
+        if (kp > 1 || kc > 1) continue;  // ambiguous name
       }
-      const Delta dProd = dp.byKey.count(key) ? dp.byKey[key] : Delta{};
-      const Delta dCons = dc.byKey.count(key) ? dc.byKey[key] : Delta{};
+      const Delta* pd = dp.find(key);
+      const Delta* cd = dc.find(key);
+      const Delta dProd = pd ? *pd : Delta{};
+      const Delta dCons = cd ? *cd : Delta{};
       if (dProd.varies || dCons.varies) continue;
       if (dProd.count == dCons.count) continue;
-      const std::string where =
-          key.empty() ? "per invocation" : "per iteration of matched loop '" + key + "'";
+      const std::string where = key == kRegionKey
+                                    ? "per invocation"
+                                    : "per iteration of matched loop '" + ctx.keyName(key) + "'";
       Instruction* site = dProd.site ? dProd.site : dCons.site;
       diag.error({}, at(site) + ": " + channelDesc(info, id) + " is unbalanced: [" +
-                         pc.first->name() + "] produces " + std::to_string(dProd.count) + " " +
-                         where + " but [" + pc.second->name() + "] consumes " +
+                         ep.producer->name() + "] produces " + std::to_string(dProd.count) + " " +
+                         where + " but [" + ep.consumer->name() + "] consumes " +
                          std::to_string(dCons.count) +
                          "; the queue drifts until it overflows or starves");
     }
@@ -466,11 +582,9 @@ bool loopSemNet(const FnLoops& fl, Loop* l, const std::vector<Site>& raises,
 void checkSemaphoreBalance(const DswpResult& dswp, const ModuleIndex& idx, LoopContextCache& ctx,
                            DiagEngine& diag) {
   for (const auto& sem : dswp.semaphores) {
-    auto li = idx.lowers.find(sem.id);
-    auto ri = idx.raises.find(sem.id);
-    static const std::vector<Site> kNoSites;
-    const std::vector<Site>& lowers = li != idx.lowers.end() ? li->second : kNoSites;
-    const std::vector<Site>& raises = ri != idx.raises.end() ? ri->second : kNoSites;
+    const unsigned slot = idx.sems.slotOf.at(sem.id);
+    const std::vector<Site>& lowers = idx.sems.takes[slot];
+    const std::vector<Site>& raises = idx.sems.adds[slot];
     if (lowers.empty()) {
       if (raises.empty())
         diag.warning({}, semDesc(&sem, sem.id) + " has no raise or lower sites");
@@ -506,7 +620,8 @@ void checkSemaphoreBalance(const DswpResult& dswp, const ModuleIndex& idx, LoopC
       // Best-case offset dataflow: per-block net + the offset right after
       // each lower, then an iterate-to-fixpoint max over paths (capped;
       // non-convergence means a raising loop, where nothing definite holds).
-      std::unordered_map<BasicBlock*, long> blockNet;
+      // Both tables are indexed by the block's dense id within f.
+      std::vector<long> blockNet;
       constexpr long kUnreached = LONG_MIN / 4;
       bool allConst = true;
       for (auto& bb : f->blocks()) {
@@ -521,13 +636,12 @@ void checkSemaphoreBalance(const DswpResult& dswp, const ModuleIndex& idx, LoopC
             net -= k;
           }
         }
-        blockNet[bb] = net;
+        blockNet.push_back(net);
       }
       if (!allConst) continue;
       std::vector<BasicBlock*> rpo = reversePostOrder(*f);
-      std::unordered_map<BasicBlock*, long> maxOff;
-      for (BasicBlock* bb : rpo) maxOff[bb] = kUnreached;
-      maxOff[f->entry()] = 0;
+      std::vector<long> maxOff(blockNet.size(), kUnreached);  // stays so when unreachable
+      maxOff[fl.local(f->entry())] = 0;
       bool converged = false;
       for (size_t pass = 0; pass < rpo.size() + 3 && !converged; ++pass) {
         converged = true;
@@ -535,12 +649,11 @@ void checkSemaphoreBalance(const DswpResult& dswp, const ModuleIndex& idx, LoopC
           if (bb == f->entry()) continue;
           long best = kUnreached;
           for (BasicBlock* p : bb->predecessors()) {
-            auto mi = maxOff.find(p);
-            if (mi == maxOff.end() || mi->second == kUnreached) continue;
-            best = std::max(best, mi->second + blockNet[p]);
+            if (p->parent() != f || maxOff[fl.local(p)] == kUnreached) continue;
+            best = std::max(best, maxOff[fl.local(p)] + blockNet[fl.local(p)]);
           }
-          if (best != maxOff[bb]) {
-            maxOff[bb] = best;
+          if (best != maxOff[fl.local(bb)]) {
+            maxOff[fl.local(bb)] = best;
             converged = false;
           }
         }
@@ -549,9 +662,8 @@ void checkSemaphoreBalance(const DswpResult& dswp, const ModuleIndex& idx, LoopC
       for (const Site& s : lowers) {
         if (s.fn != f) continue;
         BasicBlock* bb = s.inst->parent();
-        auto mi = maxOff.find(bb);
-        if (mi == maxOff.end() || mi->second == kUnreached) continue;  // unreachable
-        long off = mi->second;
+        if (maxOff[fl.local(bb)] == kUnreached) continue;  // unreachable
+        long off = maxOff[fl.local(bb)];
         bool found = false;
         for (auto& inst : *bb) {
           long k = 0;
@@ -599,17 +711,21 @@ void checkSemaphoreBalance(const DswpResult& dswp, const ModuleIndex& idx, LoopC
 class StartupGame {
 public:
   StartupGame(const DswpResult& dswp, const ModuleIndex& idx, DiagEngine& diag)
-      : dswp_(dswp), idx_(idx), diag_(diag) {}
+      : dswp_(dswp),
+        idx_(idx),
+        diag_(diag),
+        insts_(idx.insts.size()),
+        channels_(idx.chans.size()),
+        sems_(idx.sems.size()),
+        returns_(idx.fnInModule.size()),
+        started_(idx.fnInModule.size(), 0),
+        parkedIn_(idx.fnInModule.size()) {}
 
   void run() {
     if (!dswp_.mainMaster) return;
     for (const auto& t : dswp_.threads) start(t.fn);
-    while (!work_.empty()) {
-      Instruction* inst = work_.front();
-      work_.pop_front();
-      step(inst);
-    }
-    if (!completed_.count(dswp_.mainMaster)) {
+    while (head_ < work_.size()) step(work_[head_++]);
+    if (!returns_[fnSlot(dswp_.mainMaster)].open) {
       reportDeadlock();
       return;
     }
@@ -617,9 +733,34 @@ public:
   }
 
 private:
+  /// One monotone fact the game waits on: a channel was ever produced to, a
+  /// semaphore was ever raised, a function ever returned. Instructions that
+  /// block on it park in `waiters` until it opens.
+  struct Gate {
+    bool open = false;
+    std::vector<Instruction*> waiters;
+  };
+  struct InstState {
+    bool executed = false;
+    bool parked = false;   // blocked at least once and not executed since
+    bool waiting = false;  // currently in its gate's `waiters`
+  };
+
+  /// Slot of a function the index assigned one (every module function,
+  /// thread root and callee), -1 otherwise.
+  int fnSlot(Function* f) const {
+    auto it = idx_.fnSlotOf.find(f);
+    return it == idx_.fnSlotOf.end() ? -1 : static_cast<int>(it->second);
+  }
+
   void start(Function* f) {
-    if (!f || !started_.insert(f).second) return;
-    BasicBlock* entry = f->entry();
+    if (!f) return;
+    const unsigned fs = idx_.fnSlotOf.at(f);
+    if (started_[fs]) return;
+    started_[fs] = 1;
+    // Only module functions carry leased ids; a function outside the module
+    // starts but never steps.
+    BasicBlock* entry = idx_.fnInModule[fs] ? f->entry() : nullptr;
     if (entry && !entry->empty()) enqueue(entry->front());
   }
 
@@ -632,61 +773,58 @@ private:
     if (it != bb->end()) enqueue(*it);
   }
 
-  void park(Instruction* inst, std::vector<Instruction*>& queue) {
-    if (parked_.insert(inst).second) {
-      queue.push_back(inst);
-      parkedIn_[inst->parent()->parent()].push_back(inst);
-    } else if (std::find(queue.begin(), queue.end(), inst) == queue.end()) {
-      queue.push_back(inst);
+  void park(Instruction* inst, Gate& gate) {
+    InstState& st = insts_[inst->id()];
+    if (!st.parked) {
+      st.parked = true;
+      parkedIn_[idx_.instFn[inst->id()]].push_back(inst);
+    }
+    if (!st.waiting) {
+      st.waiting = true;
+      gate.waiters.push_back(inst);
     }
   }
 
-  void wake(std::vector<Instruction*>& queue) {
-    for (Instruction* inst : queue) enqueue(inst);
-    queue.clear();
+  void open(Gate& gate) {
+    if (gate.open) return;
+    gate.open = true;
+    for (Instruction* inst : gate.waiters) {
+      insts_[inst->id()].waiting = false;
+      enqueue(inst);
+    }
+    gate.waiters.clear();
   }
 
   void step(Instruction* inst) {
-    if (executed_.count(inst)) return;
+    InstState& st = insts_[inst->id()];
+    if (st.executed) return;
+    const unsigned slot = idx_.instSlot[inst->id()];
+    Gate* blockedOn = nullptr;
     switch (inst->op()) {
-      case Opcode::Consume:
-        if (!supplied_.count(inst->channel())) {
-          park(inst, parkedOnChannel_[inst->channel()]);
-          return;
-        }
-        break;
+      case Opcode::Consume: blockedOn = &channels_[slot]; break;
       case Opcode::SemLower: {
-        auto si = idx_.semById.find(inst->channel());
-        const bool seeded = si != idx_.semById.end() && si->second->initialCount > 0;
-        if (!seeded && !raised_.count(inst->channel())) {
-          park(inst, parkedOnSem_[inst->channel()]);
-          return;
-        }
+        const SemaphoreInfo* sem = idx_.sems.info[slot];
+        if (!sem || sem->initialCount == 0) blockedOn = &sems_[slot];
         break;
       }
       case Opcode::Call:
         start(inst->callee());  // the call transfers control into the callee
-        if (!completed_.count(inst->callee())) {
-          park(inst, parkedOnCall_[inst->callee()]);
-          return;
-        }
+        blockedOn = &returns_[slot];
         break;
       default: break;
     }
-    executed_.insert(inst);
-    parked_.erase(inst);
+    if (blockedOn && !blockedOn->open) {
+      park(inst, *blockedOn);
+      return;
+    }
+    st.executed = true;
+    st.parked = false;
     switch (inst->op()) {
-      case Opcode::Produce:
-        if (supplied_.insert(inst->channel()).second) wake(parkedOnChannel_[inst->channel()]);
-        break;
-      case Opcode::SemRaise:
-        if (raised_.insert(inst->channel()).second) wake(parkedOnSem_[inst->channel()]);
-        break;
-      case Opcode::Ret: {
-        Function* f = inst->parent()->parent();
-        if (completed_.insert(f).second) wake(parkedOnCall_[f]);
+      case Opcode::Produce: open(channels_[slot]); break;
+      case Opcode::SemRaise: open(sems_[slot]); break;
+      case Opcode::Ret:
+        open(returns_[idx_.instFn[inst->id()]]);
         return;  // no successor
-      }
       default: break;
     }
     if (inst->isTerminator()) {
@@ -700,10 +838,10 @@ private:
   }
 
   Instruction* firstParkedIn(Function* f) const {
-    auto it = parkedIn_.find(f);
-    if (it == parkedIn_.end()) return nullptr;
-    for (Instruction* inst : it->second)
-      if (parked_.count(inst)) return inst;
+    const int fs = fnSlot(f);
+    if (fs < 0) return nullptr;
+    for (Instruction* inst : parkedIn_[fs])
+      if (insts_[inst->id()].parked) return inst;
     return nullptr;
   }
 
@@ -716,14 +854,16 @@ private:
   void reportDeadlock() {
     diag_.error({}, "deadlock: " + threadDesc(dswp_.mainMaster) +
                         " can never reach its return under any schedule");
-    std::unordered_set<Function*> visited;
+    std::vector<Function*> visited;
     Function* cur = dswp_.mainMaster;
     for (int depth = 0; depth < 20 && cur; ++depth) {
-      if (!visited.insert(cur).second) {
+      if (std::find(visited.begin(), visited.end(), cur) != visited.end()) {
         diag_.note({}, "the wait cycle closes at [" + cur->name() + "]");
         return;
       }
-      if (!started_.count(cur)) {
+      visited.push_back(cur);
+      const int fs = fnSlot(cur);
+      if (fs < 0 || !started_[fs]) {
         diag_.note({}, "[" + cur->name() + "] never starts executing");
         return;
       }
@@ -737,32 +877,29 @@ private:
       switch (stuck->op()) {
         case Opcode::Consume: {
           const int ch = stuck->channel();
-          auto ci = idx_.channelById.find(ch);
-          const ChannelInfo* info = ci != idx_.channelById.end() ? ci->second : nullptr;
-          why = at(stuck) + ": blocked consuming " + channelDesc(info, ch);
-          auto pi = idx_.produces.find(ch);
-          if (pi == idx_.produces.end() || pi->second.empty()) {
+          const unsigned slot = idx_.instSlot[stuck->id()];
+          why = at(stuck) + ": blocked consuming " + channelDesc(idx_.chans.info[slot], ch);
+          const std::vector<Site>& prods = idx_.chans.adds[slot];
+          if (prods.empty()) {
             why += ", which is never produced";
           } else {
-            const Site& prod = pi->second.front();
-            why += ", produced only at " + at(prod.inst) + " (never reached)";
-            next = prod.fn;
+            why += ", produced only at " + at(prods.front().inst) + " (never reached)";
+            next = prods.front().fn;
           }
           break;
         }
         case Opcode::SemLower: {
           const int id = stuck->channel();
-          auto si = idx_.semById.find(id);
-          const SemaphoreInfo* info = si != idx_.semById.end() ? si->second : nullptr;
+          const unsigned slot = idx_.instSlot[stuck->id()];
+          const SemaphoreInfo* info = idx_.sems.info[slot];
           why = at(stuck) + ": blocked lowering " + semDesc(info, id) + " (initial count " +
                 std::to_string(info ? info->initialCount : 0) + ")";
-          auto ri = idx_.raises.find(id);
-          if (ri == idx_.raises.end() || ri->second.empty()) {
+          const std::vector<Site>& raises = idx_.sems.adds[slot];
+          if (raises.empty()) {
             why += ", which is never raised";
           } else {
-            const Site& raise = ri->second.front();
-            why += ", raised only at " + at(raise.inst) + " (never reached)";
-            next = raise.fn;
+            why += ", raised only at " + at(raises.front().inst) + " (never reached)";
+            next = raises.front().fn;
           }
           break;
         }
@@ -784,9 +921,8 @@ private:
       Instruction* stuck = firstParkedIn(t.fn);
       if (!stuck) continue;
       if (stuck->op() == Opcode::Consume) {
-        auto ci = idx_.channelById.find(stuck->channel());
-        if (ci != idx_.channelById.end() &&
-            ci->second->purpose == ChannelInfo::Purpose::Start)
+        const ChannelInfo* ch = idx_.chans.info[idx_.instSlot[stuck->id()]];
+        if (ch && ch->purpose == ChannelInfo::Purpose::Start)
           continue;  // idle at the dispatch consume: the normal parked state
       }
       diag_.warning({}, at(stuck) + ": " + threadDesc(t.fn) +
@@ -797,20 +933,23 @@ private:
   const DswpResult& dswp_;
   const ModuleIndex& idx_;
   DiagEngine& diag_;
-  std::deque<Instruction*> work_;
-  std::unordered_set<Instruction*> executed_, parked_;
-  std::unordered_set<int> supplied_, raised_;
-  std::unordered_set<Function*> completed_, started_;
-  std::unordered_map<int, std::vector<Instruction*>> parkedOnChannel_, parkedOnSem_;
-  std::unordered_map<Function*, std::vector<Instruction*>> parkedOnCall_;
-  std::unordered_map<Function*, std::vector<Instruction*>> parkedIn_;
+  // FIFO work list: every instruction ever enqueued, stepped from head_ on.
+  std::vector<Instruction*> work_;
+  size_t head_ = 0;
+  std::vector<InstState> insts_;  // by leased instruction id
+  std::vector<Gate> channels_;    // by channel slot
+  std::vector<Gate> sems_;        // by semaphore slot
+  std::vector<Gate> returns_;     // by function slot
+  std::vector<char> started_;     // by function slot
+  // Every instruction ever parked, by its function's slot.
+  std::vector<std::vector<Instruction*>> parkedIn_;
 };
 
 }  // namespace
 
 bool verifyPartition(Module& m, const DswpResult& dswp, DiagEngine& diag) {
   const size_t errorsBefore = diag.errorCount();
-  ModuleIndex idx = buildIndex(m, dswp, diag);
+  ModuleIndex idx(m, dswp, diag);
   auto endpoints = checkEndpoints(idx, dswp, diag);
   LoopContextCache ctx(idx);
   checkChannelBalance(endpoints, idx, ctx, diag);

@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -110,9 +109,32 @@ HttpResponse submitAndFetch(TwillService& svc, const std::string& body) {
 
 /// The *_wall_ms fields are the only nondeterministic report content; the
 /// bench gate treats them the same way (warn-only in bench_diff).
+/// Every number after a `"<key>wall_ms": ` (key of [a-z_]) becomes X. A
+/// plain scan: <regex> trips a GCC 12 -Wmaybe-uninitialized false positive
+/// in sanitizer builds.
 std::string normalizeWallTimes(const std::string& doc) {
-  static const std::regex kWall("(\"[a-z_]*wall_ms\": )[0-9.e+-]+");
-  return std::regex_replace(doc, kWall, "$1X");
+  static const std::string kKeyEnd = "wall_ms\": ";
+  auto isNumberChar = [](char c) {
+    return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == '+' || c == '-';
+  };
+  std::string out;
+  size_t copied = 0;
+  for (size_t pos = doc.find(kKeyEnd); pos != std::string::npos;
+       pos = doc.find(kKeyEnd, pos + 1)) {
+    size_t keyStart = pos;
+    while (keyStart > 0 && ((doc[keyStart - 1] >= 'a' && doc[keyStart - 1] <= 'z') ||
+                            doc[keyStart - 1] == '_'))
+      --keyStart;
+    const size_t num = pos + kKeyEnd.size();
+    size_t end = num;
+    while (end < doc.size() && isNumberChar(doc[end])) ++end;
+    if (keyStart == 0 || doc[keyStart - 1] != '"' || end == num) continue;
+    out.append(doc, copied, num - copied);
+    out += 'X';
+    copied = end;
+  }
+  out.append(doc, copied, std::string::npos);
+  return out;
 }
 
 /// Value of a label-less or fully-labelled series in a Prometheus text
