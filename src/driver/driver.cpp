@@ -1,5 +1,9 @@
 #include "src/driver/driver.h"
 
+#include <pthread.h>
+#include <sched.h>
+
+#include <optional>
 #include <unordered_set>
 
 #include "src/frontend/lower.h"
@@ -172,6 +176,195 @@ AreaEstimate runtimeArea(const DswpResult& dswp, unsigned hwThreadCount) {
   return a;
 }
 
+/// Checks a pure flow's outcome ("pure-SW" / "pure-HW") against the golden
+/// result: on a failed simulation or a mismatch, sets the report's failure
+/// and returns false.
+bool acceptPureOutcome(BenchmarkReport& rep, const SimOutcome& o, const char* flow) {
+  if (!o.ok) {
+    rep.error = std::string(flow) + " simulation failed: " + o.message;
+    rep.failureKind = o.resourceBreach ? FailureKind::Resource : FailureKind::Sim;
+    return false;
+  }
+  if (o.result != rep.expected) {
+    rep.error = std::string(flow) + " result mismatch";
+    rep.failureKind = FailureKind::Sim;
+    return false;
+  }
+  return true;
+}
+
+/// Both pure flows, prepared before extraction rewrites the module so their
+/// runs read no IR, and the helper thread that may run them. SW runs
+/// first; once it fails HW is skipped, since the report stops there anyway.
+/// Each flow's state, its simulated memory included, is released as soon
+/// as the flow has run.
+class PureRuns {
+public:
+  std::optional<PreparedPureRun> sw, hw;
+  SimOutcome swOut, hwOut;
+
+  explicit PureRuns(uint32_t expected) : expected_(expected) {}
+  PureRuns(const PureRuns&) = delete;
+  PureRuns& operator=(const PureRuns&) = delete;
+  ~PureRuns() { join(); }
+
+  /// Runs the prepared flows on a helper thread until join() when `beside`
+  /// is set, and right here otherwise or when no thread can be created.
+  void start(bool beside) {
+    if (beside && (sw || hw)) {
+      pthread_attr_t attr;
+      pthread_attr_init(&attr);
+#if defined(__linux__)
+      // Keep the helper off the calling thread's CPU. A new thread can
+      // start on its creator's CPU, and a helper that lives a millisecond
+      // or two ends before load balancing moves it, so both halves of the
+      // report would share one CPU. On a 4-vCPU VM, perfbench `report`
+      // read 196 ops/s with this mask, 190 with a plain thread and 181 with
+      // no helper (medians of 6 interleaved 40 s runs each; the mask was
+      // ahead of the plain thread in 5 of the 6). The mask is set on the
+      // attribute, before the thread runs: pthread_setaffinity_np on a
+      // helper that has already exited applies to the caller (glibc 2.36).
+      cpu_set_t cpus;
+      const int here = sched_getcpu();
+      if (here >= 0 && sched_getaffinity(0, sizeof cpus, &cpus) == 0 && CPU_ISSET(here, &cpus) &&
+          CPU_COUNT(&cpus) > 1) {
+        CPU_CLR(here, &cpus);
+        pthread_attr_setaffinity_np(&attr, sizeof cpus, &cpus);
+      }
+#endif
+      started_ = pthread_create(&helper_, &attr, &PureRuns::helperMain, this) == 0;
+      pthread_attr_destroy(&attr);
+      if (started_) return;
+    }
+    run();
+  }
+
+  void join() {
+    if (started_) pthread_join(helper_, nullptr);
+    started_ = false;
+  }
+
+  /// True once a flow is known to have failed: only after the runs ended
+  /// here or were joined.
+  bool failed() const { return !started_ && failed_; }
+
+private:
+  bool passed(const SimOutcome& o) const { return o.ok && o.result == expected_; }
+
+  void run() {
+    if (sw) {
+      swOut = sw->run();
+      sw.reset();
+      if (!passed(swOut)) {
+        failed_ = true;
+        return;
+      }
+    }
+    if (hw) {
+      hwOut = hw->run();
+      hw.reset();
+      failed_ = !passed(hwOut);
+    }
+  }
+
+  static void* helperMain(void* self) {
+    static_cast<PureRuns*>(self)->run();
+    return nullptr;
+  }
+
+  uint32_t expected_;
+  bool failed_ = false;
+  pthread_t helper_{};
+  bool started_ = false;
+};
+
+/// Twill flow, first step: DSWP extraction of the module. False, with the
+/// failure set on the report, when extraction breached its wall budget.
+bool extractTwill(BenchmarkReport& rep, Module& m, const DriverOptions& opts, DswpResult& dswp) {
+  StageSpan dswpSpan("dswp");
+  dswp = runDswp(m, opts.dswp);
+  rep.stages.pdgMs = dswp.pdgWallMs;
+  // The pdg sub-spans are disjoint subintervals of the dswp span on the same
+  // clock, so the subtraction cannot go negative.
+  rep.stages.dswpMs = dswpSpan.closeMs() - dswp.pdgWallMs;
+  return !stageBreach(opts.limits, "dswp", rep.stages.pdgMs + rep.stages.dswpMs, rep.error,
+                      rep.failureKind);
+}
+
+/// Twill flow, the rest: both verifiers, scheduling, the co-sim and the
+/// Twill areas; sets ok when all of it passed. It writes only Twill-side
+/// fields and reads only `expected` of the report, so it can run while the
+/// pure flows are still simulating.
+void finishTwill(BenchmarkReport& rep, std::unique_ptr<Module> tm, DswpResult dswp,
+                 const DriverOptions& opts, const SimConfig& sim,
+                 const ScheduleMap& baseSchedules) {
+  {
+    DiagEngine vd;
+    if (!verifyModule(*tm, vd)) {
+      rep.error = "verification failed after DSWP:\n" + vd.str();
+      rep.failureKind = FailureKind::Verify;
+      return;
+    }
+  }
+  if (opts.unseedSemaphores)
+    for (auto& sem : dswp.semaphores) sem.initialCount = 0;
+  if (opts.verifyPartition || opts.verifyOnly) {
+    DiagEngine vd;
+    if (!verifyPartition(*tm, dswp, vd)) {
+      rep.error = "partition verification failed:\n" + vd.str();
+      rep.failureKind = FailureKind::Verify;
+      for (const auto& d : vd.all()) {
+        const char* kind = d.kind == DiagKind::Error     ? "error"
+                           : d.kind == DiagKind::Warning ? "warning"
+                                                         : "note";
+        rep.verifyDiagnostics.push_back(std::string(kind) + ": " + d.message);
+      }
+      return;
+    }
+  }
+  rep.queues = dswp.totalQueues();
+  rep.semaphores = dswp.totalSemaphores();
+  rep.hwThreads = dswp.hwThreadCount();
+  for (const auto& t : dswp.threads)
+    if (!t.isHW) ++rep.swThreads;
+
+  if (opts.verifyOnly) {
+    rep.ok = true;  // compile + extraction + verification all clean
+    return;
+  }
+
+  // Schedule cache: the baseline module was already scheduled, and DSWP
+  // only adds master/slave functions and redirects call sites in the
+  // survivors — their schedules are reused the way SimProgram shares
+  // decodes, so each function is scheduled once per report, not per flow.
+  auto art = std::make_shared<TwillArtifacts>();
+  art->module = std::move(tm);
+  art->dswp = std::move(dswp);
+  StageSpan schedSpan("schedule");
+  art->schedules = scheduleModule(*art->module, opts.hls, baseSchedules);
+  rep.stages.scheduleMs += schedSpan.closeMs();
+  // Kept artifacts carry their decode, laid out under this run's memory
+  // ceiling; this run decodes through it so re-simulations reuse the work.
+  if (opts.keepTwillArtifacts)
+    art->program = std::make_unique<SimProgram>(*art->module, art->schedules, sim.memoryBytes);
+  rep.twill = simulateTwill(*art->module, art->dswp, sim, art->schedules, art->program.get());
+  if (!acceptTwillOutcome(rep)) return;
+
+  // Areas (Table 6.2 columns).
+  for (const Function* f : hwFunctions(art->dswp)) {
+    auto it = art->schedules.find(f);
+    if (it != art->schedules.end()) rep.areas.twillHwThreads += it->second.area;
+  }
+  rep.areas.twillTotal = rep.areas.twillHwThreads;
+  rep.areas.twillTotal += runtimeArea(art->dswp, rep.hwThreads);
+  rep.areas.twillPlusMicroblaze = rep.areas.twillTotal;
+  rep.areas.twillPlusMicroblaze.luts += PrimitiveAreas::kMicroblazeLuts;
+  rep.areas.twillPlusMicroblaze.brams += PrimitiveAreas::kMicroblazeBrams;
+
+  if (opts.keepTwillArtifacts) rep.twillArtifacts = std::move(art);
+  rep.ok = true;
+}
+
 }  // namespace
 
 BenchmarkReport runBenchmark(const std::string& name, const std::string& source,
@@ -209,131 +402,80 @@ BenchmarkReport runBenchmark(const std::string& name, const std::string& source,
     }
     rep.expected = golden.result;
   }
-  if (rep.ranSW) {
-    rep.sw = simulatePureSW(*base, sim);
-    if (!rep.sw.ok) {
-      rep.error = "pure-SW simulation failed: " + rep.sw.message;
-      rep.failureKind = rep.sw.resourceBreach ? FailureKind::Resource : FailureKind::Sim;
-      return rep;
-    }
-    if (rep.sw.result != rep.expected) {
-      rep.error = "pure-SW result mismatch";
-      rep.failureKind = FailureKind::Sim;
-      return rep;
-    }
-  }
+
+  // The base module's schedules drive the pure-HW flow and seed the Twill
+  // flow's schedule cache. A breached budget is reported after the pure-SW
+  // outcome, in the report's failure order.
   ScheduleMap baseSchedules;
+  std::string scheduleError;
+  FailureKind scheduleFailure = FailureKind::None;
   if (!verifyOnly) {
     StageSpan schedSpan("schedule");
     baseSchedules = scheduleModule(*base, opts.hls);
     rep.stages.scheduleMs += schedSpan.closeMs();
-    if (stageBreach(opts.limits, "schedule", rep.stages.scheduleMs, rep.error, rep.failureKind))
-      return rep;
+    stageBreach(opts.limits, "schedule", rep.stages.scheduleMs, scheduleError, scheduleFailure);
+  }
+  const bool scheduled = scheduleFailure == FailureKind::None;
+
+  // After the golden run the pure flows share no work with the Twill flow.
+  // They are prepared here and run on a helper thread while this thread
+  // extracts, verifies and co-simulates. With no Twill flow to overlap, or
+  // with a sim trace attached (so that one thread records the trace, in a
+  // fixed event order), they run right here instead, and a pure failure
+  // ends the report before extraction.
+  PureRuns pure(rep.expected);
+  AreaEstimate legup;
+  if (rep.ranSW) pure.sw.emplace(PreparedPureRun::prepare(*base, nullptr, sim));
+  if (rep.ranHW && scheduled) {
+    for (auto& [fn, sched] : baseSchedules) legup += sched.area;
+    legup.brams += bramBlocksForGlobals(*base);
+    pure.hw.emplace(PreparedPureRun::prepare(*base, &baseSchedules, sim));
+  }
+  pure.start(/*beside=*/rep.ranTwill && !sim.trace);
+
+  // --- Twill flow -------------------------------------------------------------
+  // It fills its own copy of the report, adopted only once both pure flows
+  // passed, so a report whose pure flow failed carries no Twill field. It
+  // reuses the baseline module: the pure flows read it only while
+  // preparing, so extracting from it is identical to recompiling the same
+  // source — at half the compile cost per report.
+  const bool runsTwill = opts.runTwill || verifyOnly;
+  BenchmarkReport twillSide;
+  if (runsTwill && scheduled && !pure.failed()) {
+    twillSide = rep;
+    std::unique_ptr<Module> tm = std::move(base);
+    DswpResult dswp;
+    if (extractTwill(twillSide, *tm, opts, dswp))
+      finishTwill(twillSide, std::move(tm), std::move(dswp), opts, sim, baseSchedules);
+  }
+  pure.join();
+
+  // The first failure, in the report's order: pure SW, base scheduling,
+  // pure HW, then the Twill flow's own steps.
+  if (rep.ranSW) {
+    rep.sw = pure.swOut;
+    if (!acceptPureOutcome(rep, rep.sw, "pure-SW")) return rep;
+  }
+  if (!scheduled) {
+    rep.error = scheduleError;
+    rep.failureKind = scheduleFailure;
+    return rep;
   }
   if (rep.ranHW) {
-    rep.hw = simulatePureHW(*base, baseSchedules, sim);
-    if (!rep.hw.ok) {
-      rep.error = "pure-HW simulation failed: " + rep.hw.message;
-      rep.failureKind = rep.hw.resourceBreach ? FailureKind::Resource : FailureKind::Sim;
-      return rep;
-    }
-    if (rep.hw.result != rep.expected) {
-      rep.error = "pure-HW result mismatch";
-      rep.failureKind = FailureKind::Sim;
-      return rep;
-    }
-    for (auto& [fn, sched] : baseSchedules) rep.areas.legup += sched.area;
-    rep.areas.legup.brams += bramBlocksForGlobals(*base);
+    rep.hw = pure.hwOut;
+    if (!acceptPureOutcome(rep, rep.hw, "pure-HW")) return rep;
+    rep.areas.legup = legup;
   }
-
-  if (!opts.runTwill && !verifyOnly) {
+  if (!runsTwill) {
     rep.ok = true;  // SW/HW-only run: nothing failed
     return rep;
   }
-
-  // --- Twill flow -------------------------------------------------------------
-  // Reuses the baseline module: every baseline step above is read-only on
-  // the IR (simulation state lives in per-run memories), so extracting from
-  // it is identical to recompiling the same source — at half the compile
-  // cost per report.
-  std::unique_ptr<Module> tm = std::move(base);
-  StageSpan dswpSpan("dswp");
-  DswpResult dswp = runDswp(*tm, opts.dswp);
-  rep.stages.pdgMs = dswp.pdgWallMs;
-  // The pdg sub-spans are disjoint subintervals of the dswp span on the same
-  // clock, so the subtraction cannot go negative.
-  rep.stages.dswpMs = dswpSpan.closeMs() - dswp.pdgWallMs;
-  if (stageBreach(opts.limits, "dswp", rep.stages.pdgMs + rep.stages.dswpMs, rep.error,
-                  rep.failureKind))
-    return rep;
-  {
-    DiagEngine vd;
-    if (!verifyModule(*tm, vd)) {
-      rep.error = "verification failed after DSWP:\n" + vd.str();
-      rep.failureKind = FailureKind::Verify;
-      return rep;
-    }
-  }
-  if (opts.unseedSemaphores)
-    for (auto& sem : dswp.semaphores) sem.initialCount = 0;
-  if (opts.verifyPartition || verifyOnly) {
-    DiagEngine vd;
-    if (!verifyPartition(*tm, dswp, vd)) {
-      rep.error = "partition verification failed:\n" + vd.str();
-      rep.failureKind = FailureKind::Verify;
-      for (const auto& d : vd.all()) {
-        const char* kind = d.kind == DiagKind::Error     ? "error"
-                           : d.kind == DiagKind::Warning ? "warning"
-                                                         : "note";
-        rep.verifyDiagnostics.push_back(std::string(kind) + ": " + d.message);
-      }
-      return rep;
-    }
-  }
-  rep.queues = dswp.totalQueues();
-  rep.semaphores = dswp.totalSemaphores();
-  rep.hwThreads = dswp.hwThreadCount();
-  for (const auto& t : dswp.threads)
-    if (!t.isHW) ++rep.swThreads;
-
-  if (verifyOnly) {
-    rep.ok = true;  // compile + extraction + verification all clean
-    return rep;
-  }
-
-  // Schedule cache: the baseline module was already scheduled above, and
-  // DSWP only adds master/slave functions and redirects call sites in the
-  // survivors — their schedules are reused the way SimProgram shares
-  // decodes, so each function is scheduled once per report, not per flow.
-  auto art = std::make_shared<TwillArtifacts>();
-  art->module = std::move(tm);
-  art->dswp = std::move(dswp);
-  StageSpan schedSpan("schedule");
-  art->schedules = scheduleModule(*art->module, opts.hls, baseSchedules);
-  rep.stages.scheduleMs += schedSpan.closeMs();
-  // Kept artifacts carry their decode, laid out under this run's memory
-  // ceiling; this run decodes through it so re-simulations reuse the work.
-  if (opts.keepTwillArtifacts)
-    art->program = std::make_unique<SimProgram>(*art->module, art->schedules, sim.memoryBytes);
-  rep.twill = simulateTwill(*art->module, art->dswp, sim, art->schedules, art->program.get());
-  if (!acceptTwillOutcome(rep)) return rep;
-
-  // Areas (Table 6.2 columns).
-  for (const Function* f : hwFunctions(art->dswp)) {
-    auto it = art->schedules.find(f);
-    if (it != art->schedules.end()) rep.areas.twillHwThreads += it->second.area;
-  }
-  rep.areas.twillTotal = rep.areas.twillHwThreads;
-  rep.areas.twillTotal += runtimeArea(art->dswp, rep.hwThreads);
-  rep.areas.twillPlusMicroblaze = rep.areas.twillTotal;
-  rep.areas.twillPlusMicroblaze.luts += PrimitiveAreas::kMicroblazeLuts;
-  rep.areas.twillPlusMicroblaze.brams += PrimitiveAreas::kMicroblazeBrams;
-
+  twillSide.sw = rep.sw;
+  twillSide.hw = rep.hw;
+  twillSide.areas.legup = rep.areas.legup;
+  rep = std::move(twillSide);
   // Power (Fig. 6.1): normalized to pure SW.
-  if (rep.ranSW && rep.ranHW) computePower(rep);
-
-  if (opts.keepTwillArtifacts) rep.twillArtifacts = std::move(art);
-  rep.ok = true;
+  if (rep.ok && rep.ranSW && rep.ranHW) computePower(rep);
   return rep;
 }
 

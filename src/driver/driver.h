@@ -164,7 +164,20 @@ struct BenchmarkReport {
 };
 
 /// Runs the requested flows over one benchmark source. Any compile or
-/// simulation failure is reported in `error` with ok=false.
+/// simulation failure is reported in `error` with ok=false; a report names
+/// its first failure in a fixed order (pure SW, base-schedule budget, pure
+/// HW, DSWP budget, IR verify, partition verify, Twill co-sim) and carries
+/// only the fields filled before it.
+///
+/// Threads and memory: when the Twill flow and a pure flow both run and no
+/// sim trace is attached, the pure flows run on one helper thread beside
+/// the Twill flow, so a report uses two threads for most of its wall time
+/// (callers that run N reports at once — `twilld --jobs N`, explorer
+/// workers, `bench_main --jobs N` — can reach 2N threads). Up to three
+/// simulated memories (`limits.memLimitBytes` each) are live at once: both
+/// pure flows' from their preparation until the pure-SW run ends, beside
+/// the Twill flow's. With a trace attached, or when no thread can be
+/// created, the pure flows run on the calling thread before extraction.
 BenchmarkReport runBenchmark(const std::string& name, const std::string& source,
                              const DriverOptions& opts = {});
 

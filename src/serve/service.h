@@ -55,7 +55,10 @@ struct ServiceConfig {
   unsigned jobs = 1;
   /// Server-side ceilings. Requests can only tighten them: the effective
   /// per-request wall budget is min(request, server) (0 = unlimited) and
-  /// the effective memory ceiling is min(request, server).
+  /// the effective memory ceiling is min(request, server). The memory
+  /// ceiling bounds each simulated memory; a job that runs all three flows
+  /// holds up to three at once (runBenchmark), so its simulated memory can
+  /// reach three times the ceiling.
   double maxTimeoutMs = 0;
   uint32_t maxMemoryBytes = 0;  // 0 = no server cap beyond the request's
   /// Response-cache entry cap (artifact entries are bounded by the same

@@ -163,6 +163,7 @@ public:
   uint32_t result() const { return state_.result(); }
   uint64_t retired() const { return state_.retired(); }
   uint32_t token() const { return token_; }
+  bool isHW() const { return isHW_; }
   uint64_t busyUntil = 0;
   uint64_t busyCycles = 0;
   uint64_t queueOps = 0;
@@ -613,6 +614,24 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
     return UINT64_MAX;
   };
 
+  // Earliest cycle at which some software thread is runnable (UINT64_MAX:
+  // none before a wake event). While the clock is below it both processor
+  // passes below would find nothing to do, so they are skipped. Only a
+  // software thread's step or a wait-list drain that wakes one can change
+  // it; those (and every burst, which may step one) mark it stale, and the
+  // next test recomputes it.
+  uint64_t swReadyAt = 0;
+  bool swReadyStale = true;
+  auto swIdle = [&]() {
+    if (swReadyStale) {
+      swReadyAt = UINT64_MAX;
+      for (SimThread* t : swRaw)
+        if (!t->dead) swReadyAt = std::min(swReadyAt, t->lastBlocked ? t->waitReadyAt : 0);
+      swReadyStale = false;
+    }
+    return cycle < swReadyAt;
+  };
+
   // Derives wake events from a thread's last step: a produce wakes exactly
   // the consumers parked on that queue (at the element's visibility cycle),
   // a consume wakes the parked producers, a raise wakes the parked
@@ -642,6 +661,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
         const uint64_t vis = q.frontVisibleAt();
         q.consumerWaiters().drain([&](uint32_t tok) {
           all[tok]->waitReadyAt = vis;
+          if (!all[tok]->isHW()) swReadyStale = true;
           wakeHeap.push({vis, tok});
           if (rec) rec->instant(kTracePidSim, tok, catSched, nameWake, vis);
         });
@@ -651,6 +671,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
         HwQueue& q = fabric.queue(r.dinst->channel);
         q.producerWaiters().drain([&](uint32_t tok) {
           all[tok]->waitReadyAt = cycle;
+          if (!all[tok]->isHW()) swReadyStale = true;
           wakeHeap.push({cycle, tok});
           if (rec) rec->instant(kTracePidSim, tok, catSched, nameWake, cycle);
         });
@@ -659,6 +680,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
       case Opcode::SemRaise: {
         fabric.semaphore(r.dinst->channel).lowerWaiters().drain([&](uint32_t tok) {
           all[tok]->waitReadyAt = cycle;
+          if (!all[tok]->isHW()) swReadyStale = true;
           wakeHeap.push({cycle, tok});
           if (rec) rec->instant(kTracePidSim, tok, catSched, nameWake, cycle);
         });
@@ -709,7 +731,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
 
     // Processors: ticked first each cycle (arbiter's processor priority).
     for (Proc& proc : procs) {
-      if (proc.threads.empty()) continue;
+      if (proc.threads.empty() || swIdle()) continue;
       auto localRunnable = [&](size_t li) { return swRunnable(proc.threads[li]); };
       size_t runnable = 0;
       for (size_t li = 0; li < proc.threads.size(); ++li)
@@ -733,6 +755,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
       SimThread* cur = swRaw[proc.threads[proc.cur]];
       if (localRunnable(proc.cur) && cycle >= cur->busyUntil) {
         if (cur->step(cycle)) progress = true;
+        swReadyStale = true;
         if (cur->last.status != StepStatus::Ran || cur->last.dinst->channel >= 0)
           afterStep(cur);
         noteChannelOp(cur, cycle);
@@ -834,6 +857,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
     // burst.
     bool canBurst = !mainThread->finished() && activeCount <= 1;
     for (Proc& proc : procs) {
+      if (swIdle()) break;
       bool curRun = false;
       bool otherRun = false;
       for (size_t li = 0; li < proc.threads.size(); ++li) {
@@ -953,6 +977,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
           }
         }
         phases.endBurst(cycle);
+        swReadyStale = true;
         if (sawTrap) {
           out.message = trapMessage();
           return out;
@@ -983,38 +1008,66 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
   return out;
 }
 
-SimOutcome simulatePureSW(Module& m, const SimConfig& cfg) {
-  SimOutcome out;
+/// A baseline prepared to run: everything run() needs, none of it the IR.
+/// Members are declared in dependency order (the thread executes `prog`
+/// over `mem`; `prog` resolves addresses through `layout`).
+struct PreparedPureRun::State {
+  explicit State(const SimConfig& c) : cfg(c), mem(c.memoryBytes) {}
+  SimConfig cfg;
+  SimOutcome failed;  // the outcome when preparing failed (no thread)
+  Memory mem;
+  Layout layout;
+  std::unique_ptr<DecodedProgram> prog;
+  std::unique_ptr<SimThread> thread;
+};
+
+PreparedPureRun::PreparedPureRun(std::unique_ptr<State> s) : s_(std::move(s)) {}
+PreparedPureRun::PreparedPureRun(PreparedPureRun&&) noexcept = default;
+PreparedPureRun::~PreparedPureRun() = default;
+
+PreparedPureRun PreparedPureRun::prepare(Module& m, const ScheduleMap* schedules,
+                                         const SimConfig& cfg) {
+  auto s = std::make_unique<State>(cfg);
   Function* main = m.findFunction("main");
   if (!main) {
-    out.message = "no main";
-    return out;
+    s->failed.message = "no main";
+    return PreparedPureRun(std::move(s));
   }
-  Memory mem(cfg.memoryBytes);
-  Layout layout;
-  if (!layout.build(m, mem)) {
-    out.message = layout.error;
-    out.resourceBreach = true;
-    return out;
+  if (!s->layout.build(m, s->mem)) {
+    s->failed.message = s->layout.error;
+    s->failed.resourceBreach = true;
+    return PreparedPureRun(std::move(s));
   }
-  DecodedProgram prog(m, layout);
+  // Building the thread decodes main, and decoding a call decodes its
+  // callee, so main's whole call graph is decoded here and run() never
+  // consults the decode cache.
+  s->prog = std::make_unique<DecodedProgram>(m, s->layout, schedules);
+  const bool isHW = schedules != nullptr;
   // The token doubles as the trace row id; without a fabric it has no other
   // use, so the baseline rows get fixed ids clear of Twill thread tokens.
-  SimThread t(prog, mem, nullptr, main, /*isHW=*/false, /*token=*/1000);
-  bool wallBreach = false;
-  // The baselines run a single context on a dedicated trace row; a whole-run
-  // span (in cycles) is emitted on every exit path by the closer below.
+  const uint32_t token = isHW ? 1001 : 1000;
+  s->thread = std::make_unique<SimThread>(*s->prog, s->mem, nullptr, main, isHW, token);
+  return PreparedPureRun(std::move(s));
+}
+
+SimOutcome PreparedPureRun::run() {
+  if (!s_->thread) return s_->failed;
+  SimThread& t = *s_->thread;
+  const SimConfig& cfg = s_->cfg;
+  // The baselines run a single context on a dedicated trace row, named
+  // when the run starts (so the rows appear in run order); the whole-run
+  // span (in cycles) is emitted on every exit path.
   if (cfg.trace) {
     cfg.trace->setProcessName(kTracePidSim, "sim (cycles)");
-    cfg.trace->setThreadName(kTracePidSim, 1000, "pure-SW");
+    cfg.trace->setThreadName(kTracePidSim, t.token(), t.isHW() ? "pure-HW" : "pure-SW");
     t.setTrace(cfg.trace, cfg.trace->intern("thread"), cfg.trace->intern("stall"),
                cfg.trace->intern("run"));
   }
-  struct Closer {
-    SimThread& t;
-    ~Closer() { t.closeTrace(t.busyUntil); }
-  } closer{t};
-  if (!runPureLoop(t, cfg, wallBreach)) {
+  SimOutcome out;
+  bool wallBreach = false;
+  const bool finished = runPureLoop(t, cfg, wallBreach);
+  t.closeTrace(t.busyUntil);
+  if (!finished) {
     out.resourceBreach = wallBreach;
     out.message = wallBreach ? "wall-clock budget exceeded (" +
                                    std::to_string(cfg.wallBudgetMs) + " ms)"
@@ -1028,55 +1081,17 @@ SimOutcome simulatePureSW(Module& m, const SimConfig& cfg) {
   out.ok = true;
   out.result = t.result();
   out.cycles = t.busyUntil;
-  out.retiredSW = t.retired();
-  out.cpuBusy = t.busyCycles;
+  (t.isHW() ? out.retiredHW : out.retiredSW) = t.retired();
+  (t.isHW() ? out.hwBusy : out.cpuBusy) = t.busyCycles;
   return out;
 }
 
+SimOutcome simulatePureSW(Module& m, const SimConfig& cfg) {
+  return PreparedPureRun::prepare(m, nullptr, cfg).run();
+}
+
 SimOutcome simulatePureHW(Module& m, const ScheduleMap& schedules, const SimConfig& cfg) {
-  SimOutcome out;
-  Function* main = m.findFunction("main");
-  if (!main) {
-    out.message = "no main";
-    return out;
-  }
-  Memory mem(cfg.memoryBytes);
-  Layout layout;
-  if (!layout.build(m, mem)) {
-    out.message = layout.error;
-    out.resourceBreach = true;
-    return out;
-  }
-  DecodedProgram prog(m, layout, &schedules);
-  SimThread t(prog, mem, nullptr, main, /*isHW=*/true, /*token=*/1001);
-  bool wallBreach = false;
-  if (cfg.trace) {
-    cfg.trace->setProcessName(kTracePidSim, "sim (cycles)");
-    cfg.trace->setThreadName(kTracePidSim, 1001, "pure-HW");
-    t.setTrace(cfg.trace, cfg.trace->intern("thread"), cfg.trace->intern("stall"),
-               cfg.trace->intern("run"));
-  }
-  struct Closer {
-    SimThread& t;
-    ~Closer() { t.closeTrace(t.busyUntil); }
-  } closer{t};
-  if (!runPureLoop(t, cfg, wallBreach)) {
-    out.resourceBreach = wallBreach;
-    out.message = wallBreach ? "wall-clock budget exceeded (" +
-                                   std::to_string(cfg.wallBudgetMs) + " ms)"
-                             : "cycle limit exceeded";
-    return out;
-  }
-  if (t.trapped()) {
-    out.message = "trap: " + t.trapMessage();
-    return out;
-  }
-  out.ok = true;
-  out.result = t.result();
-  out.cycles = t.busyUntil;
-  out.retiredHW = t.retired();
-  out.hwBusy = t.busyCycles;
-  return out;
+  return PreparedPureRun::prepare(m, &schedules, cfg).run();
 }
 
 }  // namespace twill

@@ -95,12 +95,38 @@ struct SimProgram {
 SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg,
                          const ScheduleMap& schedules, SimProgram* shared = nullptr);
 
+/// A pure-SW or pure-HW baseline run, split at its last read of the IR.
+/// Preparing lays the module out, writes its global initializers into the
+/// run's own memory, decodes main's whole call graph and builds the thread
+/// state; run() then touches neither the module nor the schedules, so it
+/// may run on another thread while the module is extracted, verified and
+/// simulated (runBenchmark does exactly that). With a trace attached,
+/// run() names the run's trace row and emits its spans. run() is called at
+/// most once.
+class PreparedPureRun {
+public:
+  PreparedPureRun(PreparedPureRun&&) noexcept;
+  ~PreparedPureRun();
+
+  /// Prepares the pure-HW baseline when `schedules` is given, the pure-SW
+  /// one otherwise.
+  static PreparedPureRun prepare(Module& m, const ScheduleMap* schedules, const SimConfig& cfg);
+
+  SimOutcome run();
+
+private:
+  struct State;
+  explicit PreparedPureRun(std::unique_ptr<State> s);
+  std::unique_ptr<State> s_;
+};
+
 /// Pure-software baseline: the original (un-extracted) module on the
-/// Microblaze model alone.
+/// Microblaze model alone. PreparedPureRun::prepare(m, nullptr, cfg).run().
 SimOutcome simulatePureSW(Module& m, const SimConfig& cfg = {});
 
 /// Pure-hardware baseline ("LegUp flow"): the whole original module as one
 /// hardware FSM with its own block memories (no runtime fabric).
+/// PreparedPureRun::prepare(m, &schedules, cfg).run().
 SimOutcome simulatePureHW(Module& m, const ScheduleMap& schedules, const SimConfig& cfg = {});
 
 }  // namespace twill

@@ -7,6 +7,10 @@
 
 #include "src/chstone/kernels.h"
 #include "src/driver/driver.h"
+#include "src/frontend/lower.h"
+#include "src/ir/verifier.h"
+#include "src/obs/trace.h"
+#include "src/verify/partition_verifier.h"
 
 namespace twill {
 namespace {
@@ -160,6 +164,99 @@ std::vector<std::string> kernelNames() {
 
 INSTANTIATE_TEST_SUITE_P(Chstone, ResimulateTwillTest, ::testing::ValuesIn(kernelNames()),
                          [](const auto& info) { return info.param; });
+
+// --- Pure flows beside the Twill flow ---------------------------------------
+
+/// Every SimOutcome field, for whole-outcome equality in one assertion.
+std::string outcomeFields(const SimOutcome& o) {
+  return "ok=" + std::to_string(o.ok) + " breach=" + std::to_string(o.resourceBreach) +
+         " msg=" + o.message + " result=" + std::to_string(o.result) +
+         " cycles=" + std::to_string(o.cycles) + " bus=" + std::to_string(o.busMessages) +
+         " membus=" + std::to_string(o.memBusMessages) + " sw=" + std::to_string(o.retiredSW) +
+         " hw=" + std::to_string(o.retiredHW) + " cs=" + std::to_string(o.contextSwitches) +
+         " qops=" + std::to_string(o.queueOps) + " cpu=" + std::to_string(o.cpuBusy) +
+         " hwbusy=" + std::to_string(o.hwBusy);
+}
+
+std::unique_ptr<Module> compileKernel(const KernelInfo& k) {
+  auto m = std::make_unique<Module>();
+  DiagEngine diag;
+  EXPECT_TRUE(compileC(k.source, *m, diag)) << diag.str();
+  runDefaultPipeline(*m);
+  return m;
+}
+
+class PureFlowTest : public ::testing::TestWithParam<std::string> {};
+
+// runBenchmark extracts, verifies and simulates the module while the
+// prepared pure flows run on another thread, so a prepared run must not
+// read the IR. Here the module is extracted and verified, then destroyed
+// with its schedules, before the prepared runs start (under ASan any IR
+// read is a use-after-free); their outcomes must still equal fresh runs.
+TEST_P(PureFlowTest, PreparedRunsReadNoIr) {
+  const KernelInfo* k = findKernel(GetParam());
+  ASSERT_NE(k, nullptr);
+  std::unique_ptr<Module> m = compileKernel(*k);
+  auto schedules = std::make_unique<ScheduleMap>(scheduleModule(*m));
+  PreparedPureRun sw = PreparedPureRun::prepare(*m, nullptr, SimConfig{});
+  PreparedPureRun hw = PreparedPureRun::prepare(*m, schedules.get(), SimConfig{});
+  DswpResult dswp = runDswp(*m, DswpConfig{});
+  DiagEngine vd;
+  EXPECT_TRUE(verifyModule(*m, vd)) << vd.str();
+  EXPECT_TRUE(verifyPartition(*m, dswp, vd)) << vd.str();
+  dswp = DswpResult{};
+  m.reset();
+  schedules.reset();
+  const SimOutcome swOut = sw.run();
+  const SimOutcome hwOut = hw.run();
+
+  std::unique_ptr<Module> fresh = compileKernel(*k);
+  const ScheduleMap freshSchedules = scheduleModule(*fresh);
+  ASSERT_TRUE(swOut.ok) << swOut.message;
+  ASSERT_TRUE(hwOut.ok) << hwOut.message;
+  EXPECT_EQ(outcomeFields(swOut), outcomeFields(simulatePureSW(*fresh)));
+  EXPECT_EQ(outcomeFields(hwOut), outcomeFields(simulatePureHW(*fresh, freshSchedules)));
+}
+
+// Metamorphic pair: with a sim trace attached the pure flows run on the
+// calling thread before extraction; without one they run on a helper thread
+// beside the Twill flow. The report is the same either way.
+TEST_P(PureFlowTest, TraceOnAndOffGiveTheSameReport) {
+  const KernelInfo* k = findKernel(GetParam());
+  ASSERT_NE(k, nullptr);
+  const BenchmarkReport untraced = runBenchmark(k->name, k->source);
+  ASSERT_TRUE(untraced.ok) << untraced.error;
+  TraceRecorder rec;
+  DriverOptions traced;
+  traced.sim.trace = &rec;
+  EXPECT_EQ(withoutWallTimes(runBenchmark(k->name, k->source, traced)),
+            withoutWallTimes(untraced));
+  const std::string trace = rec.toJson();
+  EXPECT_NE(trace.find("pure-SW"), std::string::npos);
+  EXPECT_NE(trace.find("pure-HW"), std::string::npos);
+}
+
+INSTANTIATE_TEST_SUITE_P(Chstone, PureFlowTest, ::testing::ValuesIn(kernelNames()),
+                         [](const auto& info) { return info.param; });
+
+// A failed pure flow ends the report before any Twill-side field is set,
+// although the Twill flow ran beside it to completion.
+TEST(DriverTest, FailedPureFlowCarriesNoTwillFields) {
+  const BenchmarkReport clean = runBenchmark("tiny", kTinyProgram);
+  ASSERT_TRUE(clean.ok) << clean.error;
+  ASSERT_GT(clean.sw.cycles, clean.twill.cycles);
+  DriverOptions opts;
+  opts.sim.maxCycles = clean.sw.cycles - 1;
+  const BenchmarkReport r = runBenchmark("tiny", kTinyProgram, opts);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "pure-SW simulation failed: cycle limit exceeded");
+  EXPECT_FALSE(r.twill.ok);
+  EXPECT_EQ(r.twill.cycles, 0u);
+  EXPECT_EQ(r.hw.cycles, 0u);
+  EXPECT_EQ(r.queues, 0u);
+  EXPECT_EQ(r.hwThreads + r.swThreads, 0u);
+  EXPECT_EQ(r.areas.twillTotal.luts, 0u);
+}
 
 TEST(DriverTest, ResimulateWithoutArtifactsReturnsTheAnchor) {
   const BenchmarkReport anchor = runBenchmark("tiny", kTinyProgram);
